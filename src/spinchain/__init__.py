@@ -17,6 +17,7 @@ from .errors import (
     ConvergenceError,
     DivergenceError,
     DomainError,
+    IncompleteSpectrumError,
     RootCollisionError,
 )
 from .params import DerivedConstants, PhysicalParams, make_params
@@ -28,6 +29,7 @@ __all__ = [
     "DerivedConstants",
     "DivergenceError",
     "DomainError",
+    "IncompleteSpectrumError",
     "PhysicalParams",
     "RootCollisionError",
     "make_params",

@@ -25,17 +25,19 @@ and the roots satisfy the coupled rational (Bethe) system
     sum_{j != i} 2/(zeta_i - zeta_j)
         = [2a zeta_i^2 - 2(n + a) zeta_i + 2n + lambda_n + 1] / [zeta_i (1 - zeta_i)].
 
-Two independent routes are implemented and cross-checked: a damped Newton
-iteration on the Bethe system, and a linear-algebra route that expands S in
+Two routes are implemented: a linear-algebra route that expands S in
 monomials and solves the resulting three-term recurrence as a matrix
-eigenproblem in xi. Each level n carries n + 1 solution branches (for n = 1
-these are the two closed-form root branches); roots may leave the real axis
-in conjugate pairs and are kept.
+eigenproblem in xi, and a damped Newton iteration on the Bethe system. Each
+level n carries n + 1 solution branches (for n = 1 these are the two
+closed-form root branches), one per recurrence eigenvalue; roots may leave
+the real axis in conjugate pairs and are kept. The solver seeds one Newton
+polish per eigenpair and then requires the polished branches to match the
+eigenvalues one to one, so a level is returned complete or not at all. The
+Newton route also runs from arbitrary seeds, independently of the recurrence.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +49,7 @@ from .errors import (
     ComplexBranchError,
     ConvergenceError,
     DomainError,
+    IncompleteSpectrumError,
     RootCollisionError,
 )
 from .params import PhysicalParams
@@ -60,7 +63,10 @@ RESIDUAL_TOL = 1e-10
 
 _NEWTON_MAX_ITER = 80
 _NEWTON_TARGET = 1e-12
-_MAX_STARTS = 32
+
+#: two branches are the same, or a branch matches a recurrence eigenvalue,
+#: when their xi agree to this tolerance relative to max(1, |xi|)
+_XI_MATCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -187,24 +193,13 @@ def bethe_residual(
         raise DomainError(f"expected {n} roots, got {len(roots)}")
     if n == 0:
         return 0.0
-    a = params.a
-    lam = lambda_n(n)
-    z = np.asarray(roots, dtype=complex)
-    worst = 0.0
-    for i in range(n):
-        lhs = np.sum(2.0 / (z[i] - np.delete(z, i)))
-        rhs = (2.0 * a * z[i] ** 2 - 2.0 * (n + a) * z[i] + 2.0 * n + lam + 1.0) / (
-            z[i] * (1.0 - z[i])
-        )
-        worst = max(worst, abs(lhs - rhs))
-    return float(worst)
+    f = _bethe_system(np.asarray(roots, dtype=complex), n, params.a, lambda_n(n))
+    return float(np.max(np.abs(f)))
 
 
 def xi_from_roots(n: int, roots: Sequence[complex], params: PhysicalParams) -> float:
     """Auxiliary spectral parameter xi = a (lambda_n + 1 + 2 sum zeta_i)."""
-    a = params.a
-    total = complex(sum(roots)) if len(roots) else 0.0 + 0.0j
-    xi = a * (lambda_n(n) + 1.0 + 2.0 * total)
+    xi = _branch_xi(np.asarray(roots, dtype=complex), params.a, lambda_n(n))
     return _require_real(xi, "xi")
 
 
@@ -262,8 +257,10 @@ def coefficient_recurrence_solutions(
     where k0 is the xi-free part of c0; the zeta^{n+1} equation vanishes
     identically once l = -n. The admissible xi are therefore eigenvalues of
     an (n+1) x (n+1) tridiagonal matrix, independent of the Newton route.
-    Solutions are sorted by xi; eigenvectors with a vanishing leading
-    coefficient (degree < n) are discarded.
+    All n + 1 pairs are returned, sorted by xi. No eigenvector has a
+    vanishing leading coefficient: the last row reads m[n, n-1] s_{n-1} +
+    m[n, n] s_n = -xi s_n with m[n, n-1] = 2a != 0, so s_n = 0 forces
+    s_{n-1} = 0 and, row by row upwards, s = 0.
     """
     if n < 0:
         raise DomainError(f"level index must be non-negative, got {n}")
@@ -280,10 +277,7 @@ def coefficient_recurrence_solutions(
     eigvals, eigvecs = np.linalg.eig(m)
     solutions = []
     for k in range(dim):
-        s = eigvecs[:, k]
-        if abs(s[-1]) < 1e-10 * np.linalg.norm(s):
-            continue
-        s = s / s[-1]
+        s = eigvecs[:, k] / eigvecs[-1, k]
         xi = _require_real(-eigvals[k], "xi")
         solutions.append((xi, s))
     solutions.sort(key=lambda t: t[0])
@@ -297,53 +291,72 @@ def bethe_roots(
 ) -> list[tuple[complex, ...]]:
     """All root-set branches of level n by damped Newton iteration.
 
-    Returns one tuple of n roots per branch found, sorted by the branch
-    energy (n + 1 branches generically; an empty list for n = 0, which has
-    no roots). Multi-start seeds default to the recurrence-route polynomial
-    roots plus deterministic grid and jittered starts, capped at 32 starts.
-    Every returned set satisfies the Bethe system with residual below 1e-10
-    and has pairwise-distinct roots.
+    Returns one tuple of n roots per branch, sorted by the branch energy
+    (an empty list for n = 0, which has no roots). By default each of the
+    n + 1 eigenpairs of the recurrence route seeds one Newton polish from
+    the roots of its polynomial, and the polished branches must match the
+    recurrence eigenvalues one to one in xi; otherwise
+    IncompleteSpectrumError is raised, so the result is always all n + 1
+    branches. Explicit `seeds` run the Newton polish without the recurrence
+    and return the distinct branches they reach. Every returned set
+    satisfies the Bethe system with residual below 1e-10 and has
+    pairwise-distinct roots.
     """
     if n < 0:
         raise DomainError(f"level index must be non-negative, got {n}")
     a = params.a  # raises for A <= 0 before any work
     if n == 0:
         return []
-
-    if seeds is None:
-        seed_list = _default_seeds(n, params)
-    else:
-        seed_list = [np.asarray(s, dtype=complex) for s in seeds]
-    seed_list = seed_list[:_MAX_STARTS]
-
     lam = lambda_n(n)
-    found: list[np.ndarray] = []
+
+    if seeds is not None:
+        return _polish_seeds(n, a, lam, seeds)
+
+    oracle = coefficient_recurrence_solutions(n, params)
+    xi_ref = np.array([xi for xi, _ in oracle])
+    matched: dict[int, np.ndarray] = {}
     best_residual = math.inf
-    for z0 in seed_list:
-        z, ok, res = _damped_newton(z0, n, a, lam)
+    for _, s in oracle:
+        z, res = _polish(np.polynomial.polynomial.polyroots(s.astype(complex)), n, a, lam)
+        if z is None:
+            best_residual = min(best_residual, res)
+            continue
+        xi = _branch_xi(z, a, lam)
+        k = int(np.argmin(np.abs(xi_ref - xi)))
+        if _same_xi(xi, xi_ref[k]) and k not in matched:
+            matched[k] = z
+    if len(matched) < n + 1:
+        raise IncompleteSpectrumError(
+            f"Newton polish matched {len(matched)} of {n + 1} recurrence "
+            f"eigenvalues for n = {n}",
+            found=len(matched),
+            expected=n + 1,
+            best_residual=best_residual if best_residual < math.inf else None,
+        )
+    return [tuple(complex(v) for v in matched[k]) for k in range(n + 1)]
+
+
+def _polish_seeds(
+    n: int, a: float, lam: float, seeds: Sequence[Sequence[complex]]
+) -> list[tuple[complex, ...]]:
+    """Distinct branches reached from explicit seeds, sorted by energy."""
+    found: list[tuple[complex, np.ndarray]] = []
+    best_residual = math.inf
+    for seed in seeds:
+        z, res = _polish(np.asarray(seed, dtype=complex), n, a, lam)
         best_residual = min(best_residual, res)
-        if not ok:
+        if z is None:
             continue
-        if _min_separation(z) <= DISTINCTNESS_TOL:
-            # the ansatz requires distinct roots; a converged collision is
-            # not a discardable failure but a degenerate configuration
-            raise RootCollisionError(
-                f"converged roots collide (min separation "
-                f"{_min_separation(z):.3e}) for n = {n}"
-            )
-        if bethe_residual(n, z, params) >= RESIDUAL_TOL:
-            continue
-        z = _canonical_order(z)
-        if any(_set_distance(z, prev) < 1e-8 for prev in found):
-            continue
-        found.append(z)
+        xi = _branch_xi(z, a, lam)
+        if not any(_same_xi(xi, other) for other, _ in found):
+            found.append((xi, z))
     if not found:
         raise ConvergenceError(
             f"Newton iteration found no Bethe root set for n = {n}",
             best_residual=best_residual,
         )
-    found.sort(key=lambda z: (z.sum().real, z.sum().imag))
-    return [tuple(complex(v) for v in z) for z in found]
+    found.sort(key=lambda t: (t[0].real, t[0].imag))
+    return [tuple(complex(v) for v in z) for _, z in found]
 
 
 def solve_level(n: int, params: PhysicalParams) -> list[BetheSolution]:
@@ -403,8 +416,8 @@ def radial_derivatives(
 
     chi = F * G with F = r^lambda (1+r^2)^n e^{a/(1+r^2)} handled through
     its logarithmic derivative (F never vanishes on r > 0) and
-    G = S(1/(1+r^2)) through polynomial derivatives plus the chain rule,
-    which stays finite at the nodal radii where G = 0.
+    G = S(1/(1+r^2)) through product-form polynomial derivatives plus the
+    chain rule, which stays finite at the nodal radii where G = 0.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
@@ -418,15 +431,16 @@ def radial_derivatives(
     uf = lam / r + 2.0 * n * r / d - 2.0 * a * r / d**2
     ufp = -lam / r**2 + 2.0 * n * (1.0 - r * r) / d**2 - 2.0 * a * (1.0 - 3.0 * r * r) / d**3
 
-    if len(roots):
-        poly = np.polynomial.Polynomial.fromroots(np.asarray(roots, dtype=complex))
-        g = poly(zeta)
-        gp = poly.deriv()(zeta)
-        gpp = poly.deriv(2)(zeta) if n >= 2 else np.zeros_like(zeta, dtype=complex)
-    else:
-        g = np.ones_like(zeta, dtype=complex)
-        gp = np.zeros_like(zeta, dtype=complex)
-        gpp = np.zeros_like(zeta, dtype=complex)
+    # G = prod (zeta - zeta_i) and its derivatives in product form: expanding
+    # into monomials loses about seven digits by n = 20
+    g = np.ones_like(zeta, dtype=complex)
+    gp = np.zeros_like(zeta, dtype=complex)
+    gpp = np.zeros_like(zeta, dtype=complex)
+    for root in np.asarray(roots, dtype=complex):
+        factor = zeta - root
+        gpp = gpp * factor + 2.0 * gp
+        gp = gp * factor + g
+        g = g * factor
 
     zp = -2.0 * r / d**2
     zpp = (6.0 * r * r - 2.0) / d**3
@@ -440,30 +454,29 @@ def radial_derivatives(
 # Newton machinery
 
 
+def _pair_inverse(z: np.ndarray) -> np.ndarray:
+    """1/(z_i - z_j) off the diagonal, 0 on it."""
+    diff = z[:, None] - z[None, :]
+    # a unit diagonal keeps the division finite; complex 2/inf would be nan
+    np.fill_diagonal(diff, 1.0)
+    inv = 1.0 / diff
+    np.fill_diagonal(inv, 0.0)
+    return inv
+
+
 def _bethe_system(z: np.ndarray, n: int, a: float, lam: float) -> np.ndarray:
-    f = np.empty(n, dtype=complex)
-    for i in range(n):
-        others = np.delete(z, i)
-        lhs = np.sum(2.0 / (z[i] - others)) if n > 1 else 0.0
-        num = 2.0 * a * z[i] ** 2 - 2.0 * (n + a) * z[i] + 2.0 * n + lam + 1.0
-        f[i] = lhs - num / (z[i] * (1.0 - z[i]))
-    return f
+    lhs = np.sum(2.0 * _pair_inverse(z), axis=1)
+    num = 2.0 * a * z**2 - 2.0 * (n + a) * z + 2.0 * n + lam + 1.0
+    return lhs - num / (z * (1.0 - z))
 
 
 def _bethe_jacobian(z: np.ndarray, n: int, a: float, lam: float) -> np.ndarray:
-    jac = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        num = 2.0 * a * z[i] ** 2 - 2.0 * (n + a) * z[i] + 2.0 * n + lam + 1.0
-        dnum = 4.0 * a * z[i] - 2.0 * (n + a)
-        den = z[i] * (1.0 - z[i])
-        dden = 1.0 - 2.0 * z[i]
-        jac[i, i] = -(dnum * den - num * dden) / den**2
-        for j in range(n):
-            if j == i:
-                continue
-            w = 2.0 / (z[i] - z[j]) ** 2
-            jac[i, i] -= w
-            jac[i, j] = w
+    num = 2.0 * a * z**2 - 2.0 * (n + a) * z + 2.0 * n + lam + 1.0
+    dnum = 4.0 * a * z - 2.0 * (n + a)
+    den = z * (1.0 - z)
+    dden = 1.0 - 2.0 * z
+    jac = 2.0 * _pair_inverse(z) ** 2
+    jac[np.diag_indices(n)] = -(dnum * den - num * dden) / den**2 - jac.sum(axis=1)
     return jac
 
 
@@ -512,28 +525,6 @@ def _damped_newton_inner(
     return z, norm < _NEWTON_TARGET, float(norm)
 
 
-def _default_seeds(n: int, params: PhysicalParams) -> list[np.ndarray]:
-    a = params.a
-    seeds: list[np.ndarray] = []
-    for _, s in coefficient_recurrence_solutions(n, params):
-        seeds.append(np.polynomial.polynomial.polyroots(s.astype(complex)))
-    # deterministic grid starts on the two intervals bracketing zeta = 1,
-    # then jittered copies off the real axis for complex branches
-    lo = np.linspace(0.08, 0.92, 4)
-    hi = np.linspace(1.08, 2.0 + 2.0 / a, 4)
-    pool = np.concatenate([lo, hi])
-    for combo in itertools.combinations(range(len(pool)), n):
-        if len(seeds) >= _MAX_STARTS:
-            break
-        seeds.append(pool[list(combo)].astype(complex))
-    rng = np.random.default_rng(20240814)
-    while len(seeds) < _MAX_STARTS:
-        base = rng.uniform(0.05, 2.0 + 2.0 / a, size=n)
-        jitter = 1j * rng.uniform(-0.8, 0.8, size=n)
-        seeds.append(base + jitter)
-    return seeds[:_MAX_STARTS]
-
-
 def _min_separation(z: np.ndarray) -> float:
     if len(z) < 2:
         return math.inf
@@ -547,17 +538,31 @@ def _canonical_order(z: np.ndarray) -> np.ndarray:
     return z[order]
 
 
-def _set_distance(z1: np.ndarray, z2: np.ndarray) -> float:
-    """Max root displacement under the best pairing of two root multisets."""
-    if len(z1) != len(z2):
-        return math.inf
-    if len(z1) == 0:
-        return 0.0
-    from scipy.optimize import linear_sum_assignment
+def _polish(
+    z0: np.ndarray, n: int, a: float, lam: float
+) -> tuple[np.ndarray | None, float]:
+    """Newton-polish one seed: (roots in canonical order or None, residual)."""
+    z, ok, res = _damped_newton(z0, n, a, lam)
+    if not ok:
+        return None, res
+    if _min_separation(z) <= DISTINCTNESS_TOL:
+        # the ansatz requires distinct roots; a converged collision is
+        # not a discardable failure but a degenerate configuration
+        raise RootCollisionError(
+            f"converged roots collide (min separation "
+            f"{_min_separation(z):.3e}) for n = {n}"
+        )
+    # converged means bethe_residual < _NEWTON_TARGET < RESIDUAL_TOL
+    return _canonical_order(z), res
 
-    cost = np.abs(z1[:, None] - z2[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+
+def _branch_xi(z: np.ndarray, a: float, lam: float) -> complex:
+    """xi of a root set, possibly complex; xi_from_roots requires it real."""
+    return complex(a * (lam + 1.0 + 2.0 * z.sum()))
+
+
+def _same_xi(xi: complex, ref: complex) -> bool:
+    return abs(xi - ref) <= _XI_MATCH_TOL * max(1.0, abs(ref))
 
 
 def _require_real(value: complex, name: str, tol: float = 1e-9) -> float:

@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: DomainError -> 2, ConvergenceError
+(including its subclasses RootCollisionError and IncompleteSpectrumError)
 and DivergenceError -> 3.
 """
 
@@ -27,6 +28,27 @@ class ConvergenceError(RuntimeError):
 
 class RootCollisionError(ConvergenceError):
     """A root solver produced coincident roots where distinct ones are required."""
+
+
+class IncompleteSpectrumError(ConvergenceError):
+    """A level solve reached fewer distinct branches than the level has.
+
+    `found` counts the branches that matched a recurrence eigenvalue and
+    `expected` is n + 1; `best_residual` is the smallest Bethe residual
+    among the Newton polishes that did not converge (None when all did,
+    but some reached an already matched or an unmatched branch).
+    """
+
+    def __init__(
+        self,
+        message: str,
+        found: int,
+        expected: int,
+        best_residual: float | None = None,
+    ):
+        super().__init__(message, best_residual=best_residual)
+        self.found = found
+        self.expected = expected
 
 
 class DivergenceError(RuntimeError):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from spinchain import bethe, verify
 from spinchain.bethe import (
+    RESIDUAL_TOL,
     bethe_residual,
     bethe_roots,
     coefficient_recurrence_solutions,
@@ -22,7 +24,8 @@ from spinchain.bethe import (
     solve_level,
     xi_from_roots,
 )
-from spinchain.errors import ComplexBranchError, DomainError
+from spinchain.cli import main
+from spinchain.errors import ComplexBranchError, DomainError, IncompleteSpectrumError
 from spinchain.params import make_params
 
 A2 = make_params(A=2.0)  # a = 1
@@ -193,6 +196,63 @@ def test_newton_finds_all_branches_without_oracle_seeds():
         assert min(root_set_distance(roots, o) for o in oracle_sets) < 1e-8
 
 
+def test_explicit_seeds_merge_duplicate_branches():
+    sets = bethe_roots(1, A2, seeds=[[0.2], [0.15], [1.9], [0.1]])
+    assert len(sets) == 2
+
+
+def _loop_system_and_jacobian(z, n, a, lam):
+    """Row-by-row reference for the vectorised Bethe system and Jacobian."""
+    f = np.empty(n, complex)
+    jac = np.zeros((n, n), complex)
+    for i in range(n):
+        num = 2.0 * a * z[i] ** 2 - 2.0 * (n + a) * z[i] + 2.0 * n + lam + 1.0
+        den = z[i] * (1.0 - z[i])
+        f[i] = sum(2.0 / (z[i] - z[j]) for j in range(n) if j != i) - num / den
+        dnum = 4.0 * a * z[i] - 2.0 * (n + a)
+        jac[i, i] = -(dnum * den - num * (1.0 - 2.0 * z[i])) / den**2
+        for j in range(n):
+            if j != i:
+                jac[i, j] = 2.0 / (z[i] - z[j]) ** 2
+                jac[i, i] -= jac[i, j]
+    return f, jac
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 9])
+def test_vectorised_system_matches_loop_reference(n):
+    rng = np.random.default_rng(n)
+    z = rng.uniform(0.05, 3.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    a, lam = 0.7, lambda_n(n)
+    f_ref, jac_ref = _loop_system_and_jacobian(z, n, a, lam)
+    # summation order differs from the loop: allow rounding at the largest entry
+    tol = 1e-13 * max(1.0, np.max(np.abs(jac_ref)))
+    assert np.max(np.abs(bethe._bethe_system(z, n, a, lam) - f_ref)) < tol
+    assert np.max(np.abs(bethe._bethe_jacobian(z, n, a, lam) - jac_ref)) < tol
+
+
+def test_failed_branch_raises_incomplete_spectrum(monkeypatch, capsys):
+    real_newton = bethe._damped_newton
+    calls = []
+
+    def fail_second(z0, n, a, lam):
+        calls.append(n)
+        if len(calls) == 2:
+            return z0, False, 0.5
+        return real_newton(z0, n, a, lam)
+
+    monkeypatch.setattr(bethe, "_damped_newton", fail_second)
+    with pytest.raises(IncompleteSpectrumError) as info:
+        solve_level(3, A2)
+    assert (info.value.found, info.value.expected) == (3, 4)
+    assert info.value.best_residual == 0.5
+
+    calls.clear()
+    assert main(["roots", "--n", "3", "--A", "2"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "matched 3 of 4" in out.err
+
+
 def test_bethe_roots_requires_easy_plane():
     with pytest.raises(DomainError):
         bethe_roots(1, make_params(A=-1.0))
@@ -265,6 +325,24 @@ def test_newton_and_recurrence_routes_agree(n, a):
     )
     for e_n, e_o in zip(newton_energies, oracle_energies):
         assert abs(e_n - e_o) < 1e-10
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", range(21))
+def test_levels_are_complete(n, a):
+    """Every level up to n = 20 has all n + 1 branches, each matching one
+    recurrence eigenvalue and solving both the Bethe system and the radial
+    equation."""
+    params = params_for_a(a)
+    oracle = coefficient_recurrence_solutions(n, params)
+    assert len(oracle) == n + 1
+    sols = solve_level(n, params)
+    assert len(sols) == n + 1
+    oracle_energies = [2.0 * params.hbar**2 * (xi - params.a**2 / 4.0 + 1.0) for xi, _ in oracle]
+    for sol, e_ref in zip(sols, oracle_energies):
+        assert abs(sol.energy - e_ref) <= 1e-8 * max(1.0, abs(e_ref))
+        assert bethe_residual(n, sol.roots, params) < RESIDUAL_TOL
+        assert verify.radial_residual(n, sol, params).max_rel < 1e-8
 
 
 # --- eigenfunctions -------------------------------------------------------------
