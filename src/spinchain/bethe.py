@@ -68,6 +68,9 @@ _NEWTON_TARGET = 1e-12
 #: when their xi agree to this tolerance relative to max(1, |xi|)
 _XI_MATCH_TOL = 1e-8
 
+#: real parts of roots this close, relative to max(1, |re|), sort as tied
+_ORDER_TIE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class HeunCoefficients:
@@ -534,8 +537,16 @@ def _min_separation(z: np.ndarray) -> float:
 
 
 def _canonical_order(z: np.ndarray) -> np.ndarray:
-    order = np.lexsort((z.imag, z.real))
-    return z[order]
+    """Sort by real part, then by imaginary part among tied real parts.
+
+    A real part tied to its sorted neighbour joins that neighbour's group,
+    so a conjugate pair whose real parts differ by rounding always lists
+    its negative-imaginary member first.
+    """
+    z = z[np.argsort(z.real, kind="stable")]
+    tied = np.diff(z.real) <= _ORDER_TIE_TOL * np.maximum(1.0, np.abs(z.real[1:]))
+    group = np.concatenate(([0], np.cumsum(~tied)))
+    return z[np.lexsort((z.imag, group))]
 
 
 def _polish(

@@ -398,7 +398,7 @@ def _cmd_mathieu(config: RunConfig) -> int:
     samples = config.opt("samples")
     if samples > 0:
         xs = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        has_se = not (abs(nu - round(nu)) < 1e-12 and round(nu) == 0)
+        has_se = mathieu.has_branch(nu, "se")
         ce_rec = mathieu.solve(nu, q, "ce")
         se_rec = mathieu.solve(nu, q, "se") if has_se else None
         rows = []
@@ -433,11 +433,7 @@ def _spectrum_table(config: RunConfig, compute) -> int:
     parities = ("ce", "se") if parity_flag == "both" else (parity_flag,)
     rows = []
     for parity in parities:
-        usable = [
-            nu
-            for nu in orders
-            if not (parity == "se" and abs(nu - round(nu)) < 1e-12 and round(nu) == 0)
-        ]
+        usable = [nu for nu in orders if mathieu.has_branch(nu, parity)]
         for nu, e in compute(config.params, usable, parity):
             rows.append({"nu": nu, "parity": parity, "energy": e})
     rows.sort(key=lambda r: (r["nu"], r["parity"]))

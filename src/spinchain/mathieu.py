@@ -8,18 +8,25 @@ turns the equation into a symmetric tridiagonal eigenproblem on the
 coefficients: diagonal (nu + 2k)^2, off-diagonal q. The characteristic
 value a_nu(q) is the eigenvalue branch connected to nu^2 at q = 0.
 
-For fractional nu that spectrum is simple and the branch is tracked by
-eigenvector continuation from q = 0 in at most 8 steps. For integer nu the
-exponent lattice contains +-nu and the q = 0 value nu^2 is doubly
-degenerate; the reflection k -> -nu - k commutes with the matrix, so the
-basis is folded onto its cosine (symmetric) and sine (antisymmetric)
-combinations first. Each folded matrix is again tridiagonal with nonzero
-couplings, its eigenvalues never cross as q varies, and the branch is just
-the rank of nu^2 among the q = 0 values of that parity class: this yields
-the classical a_n (cosine type) and b_n (sine type) values without any
-tracking, which matters because the a_n/b_n splitting is far below
-eigensolver resolution at small q. The truncation is grown until the value
-moves by less than 1e-12.
+For integer nu the exponent lattice contains +-nu and the q = 0 value nu^2
+is doubly degenerate; the reflection k -> -nu - k commutes with the matrix,
+so the basis is folded onto its cosine (symmetric) and sine
+(antisymmetric) combinations first. For fractional nu the full lattice is
+used and both parities share one value. Every matrix is then a Jacobi
+matrix: tridiagonal with nonzero couplings for q != 0, so its eigenvalues
+are simple and never cross as q varies (DLMF 28.2, 28.6). The branch of
+order nu is therefore the rank of nu among the q = 0 frequencies of its
+basis, for fractional and integer orders alike, with no tracking in q;
+this gives the classical a_n (cosine type) and b_n (sine type) values
+even where their splitting is far below eigensolver resolution.
+
+That one eigenvalue is found by LAPACK bisection (stebz) with an absolute
+tolerance of twice the smallest normal number, so the interval shrinks to
+rounding relative to the eigenvalue itself rather than to eps times the
+1-norm of the matrix, whose largest diagonal entry grows as the square of
+the truncation. The truncation is doubled until the value moves by less
+than 1e-12 max(1, |a|); the eigenvector is computed once, at the final
+size.
 
 The two reductions of the spin-chain problem map onto this engine as
 
@@ -42,7 +49,8 @@ from .params import PhysicalParams
 _VALUE_TOL = 1e-12
 _MIN_SIZE = 16
 _MAX_SIZE = 4096
-_MAX_CONTINUATION_STEPS = 8
+# bisect to rounding of the eigenvalue, not of the matrix norm (see above)
+_BISECTION_TOL = 2.0 * np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -88,27 +96,20 @@ def _is_integer(nu: float) -> bool:
     return abs(nu - round(nu)) < 1e-12
 
 
-def _fractional_branch(nu: float, q: float, size: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Continuation from q = 0 on the full exponent lattice (simple spectrum)."""
-    ks = np.arange(-size, size + 1)
-    exps = nu + 2.0 * ks
-    diag = exps**2
-    v = np.zeros(2 * size + 1)
-    v[size] = 1.0  # q = 0 eigenvector of the nu^2 branch
-    a_val = nu * nu
-    n_steps = min(_MAX_CONTINUATION_STEPS, max(1, int(math.ceil(abs(q) / 0.75))))
-    for qi in np.linspace(q / n_steps, q, n_steps):
-        eigvals, eigvecs = eigh_tridiagonal(diag, np.full(2 * size, qi))
-        idx = int(np.argmax(np.abs(eigvecs.T @ v)))
-        v = eigvecs[:, idx]
-        a_val = float(eigvals[idx])
-    return a_val, exps, v
+def has_branch(nu: float, parity: str) -> bool:
+    """Whether the branch exists: every order but integer 0 has a sine type."""
+    return not (parity == "se" and _is_integer(nu) and round(nu) == 0)
 
 
-def _integer_branch(n: int, q: float, parity: str, size: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Rank-selected eigenvalue of the parity-folded tridiagonal matrix.
+def _tridiagonal(
+    nu: float, q: float, parity: str, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frequencies, diagonal and off-diagonal of the truncated Floquet matrix.
 
-    Folded bases and matrices for -w'' + 2q cos(2x) w = a w:
+    Fractional nu uses the full exponent lattice nu + 2k, |k| <= size, with
+    diagonal (nu + 2k)^2 and off-diagonal q; parity does not enter. Integer
+    n uses a parity-folded basis of size functions for -w'' + 2q cos(2x) w
+    = a w:
 
       cosine, n even: w = sum_{j>=0} A_j cos(2jx); the A_0 row is
         symmetrized by A_0 -> A_0 sqrt(2), giving off-diagonals
@@ -117,41 +118,24 @@ def _integer_branch(n: int, q: float, parity: str, size: int) -> tuple[float, np
       sine, n odd:    basis sin((2j+1)x), diagonal (1 - q, 9, 25, ...).
       sine, n even:   basis sin((2j+2)x), diagonal (4, 16, ...).
 
-    All off-diagonals are nonzero for q != 0, so eigenvalues within a class
-    are simple and never cross; the branch of order n sits at the rank its
-    q = 0 frequency holds in the class.
+    The returned frequencies are those of the q = 0 basis functions.
     """
-    if parity == "ce":
-        if n % 2 == 0:
-            freqs = 2.0 * np.arange(size)
-            diag = freqs**2
-            off = np.full(size - 1, q)
-            off[0] = math.sqrt(2.0) * q
-            rank = n // 2
-        else:
-            freqs = 2.0 * np.arange(size) + 1.0
-            diag = freqs**2
-            diag[0] += q
-            off = np.full(size - 1, q)
-            rank = (n - 1) // 2
+    if not _is_integer(nu):
+        freqs = nu + 2.0 * np.arange(-size, size + 1)
+        return freqs, freqs**2, np.full(2 * size, q)
+    n = int(round(nu))
+    if n % 2 == 1:
+        start = 1.0
     else:
-        if n % 2 == 1:
-            freqs = 2.0 * np.arange(size) + 1.0
-            diag = freqs**2
-            diag[0] -= q
-            off = np.full(size - 1, q)
-            rank = (n - 1) // 2
-        else:
-            freqs = 2.0 * np.arange(size) + 2.0
-            diag = freqs**2
-            off = np.full(size - 1, q)
-            rank = n // 2 - 1
-    eigvals, eigvecs = eigh_tridiagonal(diag, off)
-    a_val = float(eigvals[rank])
-    coeffs = eigvecs[:, rank].copy()
-    if parity == "ce" and n % 2 == 0:
-        coeffs[0] /= math.sqrt(2.0)  # undo the symmetrization scaling
-    return a_val, freqs, coeffs
+        start = 0.0 if parity == "ce" else 2.0
+    freqs = 2.0 * np.arange(size) + start
+    diag = freqs**2
+    off = np.full(size - 1, q)
+    if n % 2 == 1:
+        diag[0] += q if parity == "ce" else -q
+    elif parity == "ce":
+        off[0] *= math.sqrt(2.0)
+    return freqs, diag, off
 
 
 def solve(nu: float, q: float, parity: str = "ce") -> MathieuSolutionRecord:
@@ -167,8 +151,7 @@ def solve(nu: float, q: float, parity: str = "ce") -> MathieuSolutionRecord:
         raise DomainError(f"order must be non-negative, got {nu!r}")
     if parity not in ("ce", "se"):
         raise DomainError(f"parity must be 'ce' or 'se', got {parity!r}")
-    integer = _is_integer(nu)
-    if parity == "se" and integer and round(nu) == 0:
+    if not has_branch(nu, parity):
         raise DomainError("there is no sine-type branch of order 0")
 
     if q == 0.0:
@@ -183,31 +166,31 @@ def solve(nu: float, q: float, parity: str = "ce") -> MathieuSolutionRecord:
         )
 
     size = max(_MIN_SIZE, int(2 * abs(nu)) + _MIN_SIZE)
-    if integer:
-        a_prev, freqs, coeffs = _integer_branch(int(round(nu)), q, parity, size)
-    else:
-        a_prev, freqs, coeffs = _fractional_branch(nu, q, size)
+    a_prev = None
     while True:
+        freqs, diag, off = _tridiagonal(nu, q, parity, size)
+        # eigenvalues of a Jacobi matrix never cross as q moves off 0, so
+        # the branch keeps the rank its q = 0 frequency has
+        principal = int(np.argmin(np.abs(freqs - nu)))
+        rank = int(np.count_nonzero(np.abs(freqs) < abs(freqs[principal])))
+        select = dict(select="i", select_range=(rank, rank), tol=_BISECTION_TOL)
+        a_val = float(eigh_tridiagonal(diag, off, eigvals_only=True, **select)[0])
+        if a_prev is not None and abs(a_val - a_prev) < _VALUE_TOL * max(1.0, abs(a_val)):
+            break
+        a_prev = a_val
         size *= 2
         if size > _MAX_SIZE:
             raise ConvergenceError(
                 f"Mathieu truncation did not converge for nu={nu}, q={q}"
             )
-        if integer:
-            a_val, freqs, coeffs = _integer_branch(int(round(nu)), q, parity, size)
-        else:
-            a_val, freqs, coeffs = _fractional_branch(nu, q, size)
-        if abs(a_val - a_prev) < _VALUE_TOL:
-            break
-        a_prev = a_val
 
-    principal = int(np.argmin(np.abs(freqs - nu)))
-    norm = float(np.linalg.norm(coeffs))
-    coeffs = coeffs / norm
+    coeffs = eigh_tridiagonal(diag, off, **select)[1][:, 0]
+    if _is_integer(nu) and parity == "ce" and round(nu) % 2 == 0:
+        coeffs[0] /= math.sqrt(2.0)  # undo the symmetrization scaling
+    coeffs = coeffs / float(np.linalg.norm(coeffs))
     if coeffs[principal] < 0:
         coeffs = -coeffs
-    matrix_size = int(size) if integer else 2 * int(size) + 1
-    problem = MathieuProblem(nu=nu, q=q, truncation=matrix_size)
+    problem = MathieuProblem(nu=nu, q=q, truncation=len(diag))
     return MathieuSolutionRecord(
         problem=problem,
         a_nu=a_val,

@@ -230,6 +230,14 @@ def test_vectorised_system_matches_loop_reference(n):
     assert np.max(np.abs(bethe._bethe_jacobian(z, n, a, lam) - jac_ref)) < tol
 
 
+def test_conjugate_pair_order_ignores_rounding_of_real_parts():
+    # n = 2, A = 0.5: the two real parts of a conjugate pair differ by ulps
+    re = 0.22250395145717256
+    for other in (np.nextafter(re, 1.0), np.nextafter(re, 0.0)):
+        z = np.array([2.0, complex(re, 0.4), complex(other, -0.4), -1.0])
+        assert bethe._canonical_order(z).imag.tolist() == [0.0, -0.4, 0.4, 0.0]
+
+
 def test_failed_branch_raises_incomplete_spectrum(monkeypatch, capsys):
     real_newton = bethe._damped_newton
     calls = []

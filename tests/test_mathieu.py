@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
+from scipy.linalg import eigh_tridiagonal
 
 from spinchain.errors import DomainError
 from spinchain.mathieu import (
+    _tridiagonal,
     characteristic_value,
     inplane_eigenstate,
     inplane_spectrum,
@@ -68,18 +71,81 @@ def test_branch_values_are_deterministic():
     assert characteristic_value(1.5, 2.0) == characteristic_value(1.5, 2.0)
 
 
-def test_truncation_growth_has_converged():
-    from spinchain.mathieu import _fractional_branch, _integer_branch
+def _bisected_value(nu, q, parity, size):
+    freqs, diag, off = _tridiagonal(nu, q, parity, size)
+    rank = int(np.count_nonzero(np.abs(freqs) < nu))
+    return eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(rank, rank),
+        tol=2.0 * np.finfo(float).tiny,
+    )[0]
 
+
+def test_truncation_growth_has_converged():
+    # a dense eigensolve is ~1e-11 off at these sizes, so the reference at
+    # twice the truncation is the same rank-selected bisection
     rec = solve(2.0, 5.0, "ce")
     n_used = rec.problem.truncation
-    a_doubled, _, _ = _integer_branch(2, 5.0, "ce", 2 * n_used)
-    assert abs(rec.a_nu - a_doubled) < 1e-12
+    assert abs(rec.a_nu - _bisected_value(2.0, 5.0, "ce", 2 * n_used)) < 1e-12
 
     rec = solve(1.5, 3.0)
     half_width = (rec.problem.truncation - 1) // 2
-    a_doubled, _, _ = _fractional_branch(1.5, 3.0, 2 * half_width)
-    assert abs(rec.a_nu - a_doubled) < 1e-12
+    assert abs(rec.a_nu - _bisected_value(1.5, 3.0, "ce", 2 * half_width)) < 1e-12
+
+
+def _assert_in_band(nu, q):
+    """a_r <= a_nu <= b_{r+1} for r = floor(nu), edges at |q| (DLMF 28.2)."""
+    r = math.floor(nu)
+    a_nu = characteristic_value(nu, q)
+    tol = 1e-12 * max(1.0, abs(a_nu))
+    lower = characteristic_value(r, abs(q), "ce")
+    upper = characteristic_value(r + 1, abs(q), "se")
+    assert lower - tol <= a_nu <= upper + tol, (nu, q, lower, a_nu, upper)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nu=st.floats(min_value=0.0, max_value=6.0, exclude_min=True, exclude_max=True).filter(
+        lambda nu: abs(nu - round(nu)) > 1e-9
+    ),
+    log_q=st.floats(min_value=-3.0, max_value=4.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_fractional_orders_stay_in_their_band(nu, log_q, sign):
+    _assert_in_band(nu, sign * 10.0**log_q)
+
+
+@pytest.mark.parametrize("nu, q", [(1.5, 75.0), (1.5, 100.0), (2.7, 100.0)])
+def test_fractional_orders_stay_in_their_band_at_large_q(nu, q):
+    _assert_in_band(nu, q)
+
+
+@pytest.mark.parametrize(
+    "nu, q, parity, s",
+    [
+        (0.0, 1e4, "ce", 1),
+        (0.0, -1e4, "ce", 1),
+        (1.0, 1e4, "ce", 3),
+        (1.0, -1e4, "ce", 1),
+        (1.0, 1e4, "se", 1),
+        (1.0, -1e4, "se", 3),
+        (1.5, 1e4, "ce", 3),
+        (1.5, -1e4, "ce", 3),
+        (0.5, 1e5, "ce", 1),
+        (3.0, 1e5, "ce", 7),
+    ],
+)
+def test_large_q_values_match_asymptotics(nu, q, parity, s):
+    # DLMF 28.8.1 with h = sqrt|q|; s = 2r + 1 labels the well state the
+    # branch tends to (a_nu(-q) = a_nu(q) for fractional nu, and q -> -q
+    # swaps a_n and b_n for odd n)
+    h = math.sqrt(abs(q))
+    expected = (
+        -2.0 * h * h + 2.0 * s * h - (s * s + 1) / 8.0
+        - (s**3 + 3 * s) / (2**7 * h)
+        - (5 * s**4 + 34 * s * s + 9) / (2**12 * h * h)
+        - (33 * s**5 + 410 * s**3 + 405 * s) / (2**17 * h**3)
+    )
+    assert characteristic_value(nu, q, parity) == pytest.approx(expected, rel=1e-12)
 
 
 def test_interlacing_at_positive_q():
