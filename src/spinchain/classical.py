@@ -44,11 +44,19 @@ class FieldState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled integration result: states and energy density per node."""
+    """Sampled integration result: states and energy density per node.
+
+    `state_array` holds one (P, Q, Pi_P, Pi_Q) row per node of `z_grid`.
+    """
 
     z_grid: np.ndarray
-    states: list[FieldState]
+    state_array: np.ndarray
     h_values: np.ndarray
+
+    @property
+    def states(self) -> list[FieldState]:
+        """The rows of `state_array` as FieldState records, built on access."""
+        return [FieldState(*row) for row in self.state_array.tolist()]
 
     def energy_drift(self) -> float:
         h0 = self.h_values[0]
@@ -61,42 +69,59 @@ def mass_function(p: float, q: float) -> float:
     return 1.0 / (d * d)
 
 
+# Each public function below wraps a scalar kernel on (A, mu B); the
+# integrator calls the kernels directly, with the parameters read once.
+
+
 def potential(p: float, q: float, params: PhysicalParams) -> float:
+    return _potential(p, q, params.A, params.muB)
+
+
+def _potential(p: float, q: float, a: float, mub: float) -> float:
     u = p * p + q * q
     d = 1.0 + u
-    return -0.25 * params.A * (1.0 - u) ** 2 / (d * d) + 0.5 * params.muB * p / d
+    return -0.25 * a * (1.0 - u) ** 2 / (d * d) + 0.5 * mub * p / d
 
 
 def potential_gradient(
     p: float, q: float, params: PhysicalParams
 ) -> tuple[float, float]:
     """Closed-form (dV/dP, dV/dQ); checked against finite differences in tests."""
+    return _gradient(p, q, params.A, params.muB)
+
+
+def _gradient(p: float, q: float, a: float, mub: float) -> tuple[float, float]:
     u = p * p + q * q
     d = 1.0 + u
     d2 = d * d
     d3 = d2 * d
-    anis = 2.0 * params.A * (1.0 - u) / d3
-    dvdp = anis * p + 0.5 * params.muB * (1.0 - p * p + q * q) / d2
-    dvdq = anis * q - params.muB * p * q / d2
+    anis = 2.0 * a * (1.0 - u) / d3
+    dvdp = anis * p + 0.5 * mub * (1.0 - p * p + q * q) / d2
+    dvdq = anis * q - mub * p * q / d2
     return (dvdp, dvdq)
 
 
 def hamiltonian_density(st: FieldState, params: PhysicalParams) -> float:
     """Energy density (Pi^2)/(2m) + V = (1/2)(1+P^2+Q^2)^2 (Pi_P^2+Pi_Q^2) + V."""
-    d = 1.0 + st.p * st.p + st.q * st.q
-    kinetic = 0.5 * d * d * (st.pi_p**2 + st.pi_q**2)
-    return kinetic + potential(st.p, st.q, params)
+    return _density(st.p, st.q, st.pi_p, st.pi_q, params.A, params.muB)
 
 
-def _rhs(y: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    p, q, pi_p, pi_q = y
+def _density(p: float, q: float, pi_p: float, pi_q: float, a: float, mub: float) -> float:
+    d = 1.0 + p * p + q * q
+    # x**2 is C pow; x * x rounds differently on some values and would move H
+    kinetic = 0.5 * d * d * (pi_p**2 + pi_q**2)
+    return kinetic + _potential(p, q, a, mub)
+
+
+def _rhs(
+    p: float, q: float, pi_p: float, pi_q: float, a: float, mub: float
+) -> tuple[float, float, float, float]:
+    # (1 + P^2) + Q^2 here, 1 + (P^2 + Q^2) in the gradient: each rounds its own way
     d = 1.0 + p * p + q * q
     d2 = d * d
     k = pi_p * pi_p + pi_q * pi_q
-    dvdp, dvdq = potential_gradient(p, q, params)
-    return np.array(
-        [d2 * pi_p, d2 * pi_q, -2.0 * p * d * k - dvdp, -2.0 * q * d * k - dvdq]
-    )
+    dvdp, dvdq = _gradient(p, q, a, mub)
+    return (d2 * pi_p, d2 * pi_q, -2.0 * p * d * k - dvdp, -2.0 * q * d * k - dvdq)
 
 
 def integrate_static(
@@ -108,7 +133,8 @@ def integrate_static(
     """Fixed-step RK4 trajectory of the static Hamilton equations.
 
     Raises DivergenceError (with the z of failure) as soon as any state
-    component exceeds 1e12 in magnitude or stops being finite.
+    component exceeds 1e12 in magnitude or stops being finite. The step
+    runs on Python floats, one initial condition at a time.
     """
     z0, z1 = float(z_span[0]), float(z_span[1])
     if not step > 0:
@@ -118,23 +144,27 @@ def integrate_static(
     n_steps = int(round((z1 - z0) / step))
     z_grid = z0 + step * np.arange(n_steps + 1)
 
-    y = initial.as_array()
-    states = [initial]
-    h_values = [hamiltonian_density(initial, params)]
-    # overflow inside a step is caught by the divergence check right after it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            k1 = _rhs(y, params)
-            k2 = _rhs(y + 0.5 * step * k1, params)
-            k3 = _rhs(y + 0.5 * step * k2, params)
-            k4 = _rhs(y + step * k3, params)
-            y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            z_here = z_grid[i + 1]
-            if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > DIVERGENCE_THRESHOLD:
-                raise DivergenceError(
-                    f"trajectory diverged at z = {z_here:.6g}", z=float(z_here)
-                )
-            st = FieldState(*y)
-            states.append(st)
-            h_values.append(hamiltonian_density(st, params))
-    return Trajectory(z_grid=z_grid, states=states, h_values=np.array(h_values))
+    a, mub = params.A, params.muB
+    half, sixth = 0.5 * step, step / 6.0
+    p, q, pp, pq = map(float, (initial.p, initial.q, initial.pi_p, initial.pi_q))
+    states = np.empty((n_steps + 1, 4))
+    states[0] = (p, q, pp, pq)
+    h_values = np.empty(n_steps + 1)
+    h_values[0] = _density(p, q, pp, pq, a, mub)
+    for i in range(1, n_steps + 1):
+        a1, b1, c1, d1 = _rhs(p, q, pp, pq, a, mub)
+        a2, b2, c2, d2 = _rhs(p + half * a1, q + half * b1, pp + half * c1, pq + half * d1, a, mub)
+        a3, b3, c3, d3 = _rhs(p + half * a2, q + half * b2, pp + half * c2, pq + half * d2, a, mub)
+        a4, b4, c4, d4 = _rhs(p + step * a3, q + step * b3, pp + step * c3, pq + step * d3, a, mub)
+        p = p + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        q = q + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        pp = pp + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        pq = pq + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        # NaN fails every comparison, so this also catches non-finite states
+        if not (abs(p) <= DIVERGENCE_THRESHOLD and abs(q) <= DIVERGENCE_THRESHOLD
+                and abs(pp) <= DIVERGENCE_THRESHOLD and abs(pq) <= DIVERGENCE_THRESHOLD):
+            z_here = float(z_grid[i])
+            raise DivergenceError(f"trajectory diverged at z = {z_here:.6g}", z=z_here)
+        states[i] = (p, q, pp, pq)
+        h_values[i] = _density(p, q, pp, pq, a, mub)
+    return Trajectory(z_grid=z_grid, state_array=states, h_values=h_values)

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
+import operator
 import os
 import re
 import sys
@@ -126,21 +127,52 @@ def _json_value(value: Any) -> str:
     return json.dumps(str(value))
 
 
-def _render(rows: list[dict], fieldnames: list[str], fmt: str) -> str:
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _csv_quoted(cells: list[str]) -> list[str]:
+    """Quote, as csv's QUOTE_MINIMAL does, each cell holding a comma, a quote or a line break."""
+    if _CSV_SPECIAL.search("".join(cells)) is None:
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _CSV_SPECIAL.search(c) else c for c in cells]
+
+
+@dataclass(frozen=True)
+class _Blanked:
+    """A float column whose cells are empty (None) where `blank` is set."""
+
+    values: np.ndarray
+    blank: np.ndarray
+
+
+def _column_cells(values: Any, cell) -> list[str]:
+    """One column's cells: float arrays in bulk, anything else cell by cell.
+
+    '%.15g' gives the same bytes as `_fmt`, so both routes agree on floats.
+    """
+    if isinstance(values, _Blanked):
+        cells = _column_cells(values.values, cell)
+        for i in np.flatnonzero(values.blank):
+            cells[i] = cell(None)
+        return cells
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f":
+            return list(map("%.15g".__mod__, values.tolist()))
+        values = values.tolist()
+    return [cell(v) for v in values]
+
+
+def _render(columns: dict[str, Any], fmt: str) -> str:
+    """A table given column by column (name -> values, all of one length)."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(name)) for name in fieldnames])
-        return buf.getvalue()
-    lines = []
-    for row in rows:
-        items = ", ".join(
-            f"{json.dumps(name)}: {_json_value(row.get(name))}" for name in fieldnames
-        )
-        lines.append("  {" + items + "}")
-    return "[\n" + ",\n".join(lines) + "\n]\n"
+        cells = [_csv_quoted(_column_cells(v, _csv_cell)) for v in columns.values()]
+        lines = [",".join(_csv_quoted(list(columns)))]
+        lines += map(",".join, zip(*cells))
+        return "\n".join(lines) + "\n"
+    cells = [_column_cells(v, _json_value) for v in columns.values()]
+    keys = (json.dumps(name).replace("%", "%%") for name in columns)
+    template = "  {" + ", ".join(f"{key}: %s" for key in keys) + "}"
+    return "[\n" + ",\n".join([template % row for row in zip(*cells)]) + "\n]\n"
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -277,55 +309,80 @@ def _cmd_project(config: RunConfig) -> int:
     s1, s2, s3 = config.opt("s1"), config.opt("s2"), config.opt("s3")
     p, q = config.opt("P"), config.opt("Q")
     if config.opt("batch"):
-        rows, fields = _project_batch(config.opt("batch"))
+        columns = _project_batch(config.opt("batch"))
     elif s1 is not None or s2 is not None or s3 is not None:
         if None in (s1, s2, s3):
             raise DomainError("spin input needs all of --s1 --s2 --s3")
-        w = stereo.project(stereo.SpinPoint(s1, s2, s3))
-        rows = [_plane_row(w)]
-        fields = ["P", "Q", "at_infinity"]
+        columns = _plane_columns(np.array([[s1, s2, s3]]))
     elif p is not None or q is not None:
         if None in (p, q):
             raise DomainError("field input needs both --P and --Q")
-        s = stereo.unproject(stereo.ComplexFieldPoint(p, q))
-        rows = [{"S1": s.s1, "S2": s.s2, "S3": s.s3}]
-        fields = ["S1", "S2", "S3"]
+        columns = _spin_columns(np.array([[p, q]]), np.array([False]))
     else:
         raise DomainError("give --s1/--s2/--s3, --P/--Q, or --batch")
-    _write_output(_render(rows, fields, config.output_format), config.output_path)
+    _write_output(_render(columns, config.output_format), config.output_path)
     return _EXIT_OK
 
 
-def _plane_row(w: stereo.ComplexFieldPoint) -> dict:
-    if w.at_infinity:
-        return {"P": None, "Q": None, "at_infinity": True}
-    return {"P": w.p, "Q": w.q, "at_infinity": False}
+def _plane_columns(s: np.ndarray) -> dict[str, Any]:
+    w, at_infinity = stereo.project_array(s)
+    return {"P": _Blanked(w[:, 0], at_infinity), "Q": _Blanked(w[:, 1], at_infinity),
+            "at_infinity": at_infinity}
 
 
-def _project_batch(path: str) -> tuple[list[dict], list[str]]:
+def _spin_columns(w: np.ndarray, at_infinity: np.ndarray) -> dict[str, Any]:
+    s = stereo.unproject_array(w, at_infinity)
+    return {"S1": s[:, 0], "S2": s[:, 1], "S3": s[:, 2]}
+
+
+def _project_batch(path: str) -> dict[str, Any]:
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        rows_in = list(reader)
-    cols = {name.strip() for name in header}
-    if {"S1", "S2", "S3"} <= cols:
-        rows = []
-        for r in rows_in:
-            s = stereo.SpinPoint(float(r["S1"]), float(r["S2"]), float(r["S3"]))
-            rows.append(_plane_row(stereo.project(s)))
-        return rows, ["P", "Q", "at_infinity"]
-    if {"P", "Q"} <= cols:
-        rows = []
-        for r in rows_in:
-            inf_cell = (r.get("at_infinity") or "").strip().lower()
-            if inf_cell == "true":
-                w = stereo.POINT_AT_INFINITY
-            else:
-                w = stereo.ComplexFieldPoint(float(r["P"]), float(r["Q"]))
-            s = stereo.unproject(w)
-            rows.append({"S1": s.s1, "S2": s.s2, "S3": s.s3})
-        return rows, ["S1", "S2", "S3"]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        index = {name.strip(): j for j, name in enumerate(header)}
+        rows, lines = [], []
+        for row in reader:
+            if row:  # a blank line holds no row
+                rows.append(row)
+                lines.append(reader.line_num)
+    if {"S1", "S2", "S3"} <= index.keys():
+        return _plane_columns(_parse_cells(path, rows, lines, index, ("S1", "S2", "S3")))
+    if {"P", "Q"} <= index.keys():
+        j = index.get("at_infinity")
+        at_infinity = np.array(
+            [j is not None and j < len(row) and row[j].strip().lower() == "true" for row in rows],
+            dtype=bool,
+        )
+        finite = np.flatnonzero(~at_infinity).tolist()
+        w = np.zeros((len(rows), 2))
+        w[finite] = _parse_cells(
+            path, [rows[i] for i in finite], [lines[i] for i in finite], index, ("P", "Q")
+        )
+        return _spin_columns(w, at_infinity)
     raise DomainError(f"{path}: need columns (S1,S2,S3) or (P,Q), got {header}")
+
+
+def _parse_cells(
+    path: str,
+    rows: list[list[str]],
+    lines: list[int],
+    index: dict[str, int],
+    names: tuple[str, ...],
+) -> np.ndarray:
+    """(rows, names) floats; a missing or non-numeric cell is a DomainError naming its line."""
+    cells = operator.itemgetter(*(index[name] for name in names))
+    try:
+        values = list(map(float, itertools.chain.from_iterable(map(cells, rows))))
+    except (IndexError, ValueError):
+        for row, line in zip(rows, lines):
+            try:
+                list(map(float, cells(row)))
+            except (IndexError, ValueError):
+                raise DomainError(
+                    f"{path}: line {line}: need numbers in {', '.join(names)}, got {row}"
+                ) from None
+        raise
+    return np.array(values).reshape(-1, len(names))
 
 
 def _cmd_classical(config: RunConfig) -> int:
@@ -335,51 +392,32 @@ def _cmd_classical(config: RunConfig) -> int:
     traj = classical.integrate_static(
         initial, tuple(config.opt("z_span")), config.opt("step"), config.params
     )
-    rows = [
-        {
-            "z": z,
-            "P": st.p,
-            "Q": st.q,
-            "PiP": st.pi_p,
-            "PiQ": st.pi_q,
-            "H": h,
-        }
-        for z, st, h in zip(traj.z_grid, traj.states, traj.h_values)
-    ]
-    _write_output(
-        _render(rows, ["z", "P", "Q", "PiP", "PiQ", "H"], config.output_format),
-        config.output_path,
-    )
+    y = traj.state_array
+    columns = {"z": traj.z_grid, "P": y[:, 0], "Q": y[:, 1], "PiP": y[:, 2],
+               "PiQ": y[:, 3], "H": traj.h_values}
+    _write_output(_render(columns, config.output_format), config.output_path)
     return _EXIT_OK
 
 
-_SPECTRUM_FIELDS = ["n", "lambda", "l", "branch", "roots", "energy", "bethe_residual"]
-
-
-def _spectrum_rows(params: PhysicalParams, levels: Sequence[int]) -> list[dict]:
-    rows = []
-    for n in levels:
-        for sol in solve_level(n, params):
-            rows.append(
-                {
-                    "n": sol.indices.n,
-                    "lambda": sol.indices.lambda_n,
-                    "l": sol.indices.l,
-                    "branch": sol.indices.branch,
-                    "roots": [complex(z) for z in sol.roots],
-                    "energy": sol.energy,
-                    "bethe_residual": sol.residual,
-                }
-            )
-    return rows
+def _spectrum_columns(params: PhysicalParams, levels: Sequence[int]) -> dict[str, list]:
+    sols = [sol for n in levels for sol in solve_level(n, params)]
+    return {
+        "n": [sol.indices.n for sol in sols],
+        "lambda": [sol.indices.lambda_n for sol in sols],
+        "l": [sol.indices.l for sol in sols],
+        "branch": [sol.indices.branch for sol in sols],
+        "roots": [[complex(z) for z in sol.roots] for sol in sols],
+        "energy": [sol.energy for sol in sols],
+        "bethe_residual": [sol.residual for sol in sols],
+    }
 
 
 def _cmd_spectrum(config: RunConfig) -> int:
     max_n = config.opt("max_n")
     if max_n < 0:
         raise DomainError(f"--max-n must be non-negative, got {max_n}")
-    rows = _spectrum_rows(config.params, range(max_n + 1))
-    _write_output(_render(rows, _SPECTRUM_FIELDS, config.output_format), config.output_path)
+    columns = _spectrum_columns(config.params, range(max_n + 1))
+    _write_output(_render(columns, config.output_format), config.output_path)
     return _EXIT_OK
 
 
@@ -387,8 +425,8 @@ def _cmd_roots(config: RunConfig) -> int:
     n = config.opt("n")
     if n < 0:
         raise DomainError(f"--n must be non-negative, got {n}")
-    rows = _spectrum_rows(config.params, [n])
-    _write_output(_render(rows, _SPECTRUM_FIELDS, config.output_format), config.output_path)
+    columns = _spectrum_columns(config.params, [n])
+    _write_output(_render(columns, config.output_format), config.output_path)
     return _EXIT_OK
 
 
@@ -398,32 +436,17 @@ def _cmd_mathieu(config: RunConfig) -> int:
     samples = config.opt("samples")
     if samples > 0:
         xs = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        has_se = mathieu.has_branch(nu, "se")
         ce_rec = mathieu.solve(nu, q, "ce")
-        se_rec = mathieu.solve(nu, q, "se") if has_se else None
-        rows = []
-        for x in xs:
-            row = {"x": float(x), "ce": float(ce_rec(x))}
-            if se_rec is not None:
-                row["se"] = float(se_rec(x))
-            rows.append(row)
-        fields = ["x", "ce"] + (["se"] if has_se else [])
-        _write_output(_render(rows, fields, config.output_format), config.output_path)
+        columns = {"x": xs, "ce": [float(ce_rec(x)) for x in xs]}
+        if mathieu.has_branch(nu, "se"):
+            se_rec = mathieu.solve(nu, q, "se")
+            columns["se"] = [float(se_rec(x)) for x in xs]
+        _write_output(_render(columns, config.output_format), config.output_path)
         return _EXIT_OK
     record = mathieu.solve(nu, q, parity)
-    rows = [
-        {
-            "nu": nu,
-            "q": q,
-            "parity": parity,
-            "a_nu": record.a_nu,
-            "truncation": record.problem.truncation,
-        }
-    ]
-    _write_output(
-        _render(rows, ["nu", "q", "parity", "a_nu", "truncation"], config.output_format),
-        config.output_path,
-    )
+    columns = {"nu": [nu], "q": [q], "parity": [parity], "a_nu": [record.a_nu],
+               "truncation": [record.problem.truncation]}
+    _write_output(_render(columns, config.output_format), config.output_path)
     return _EXIT_OK
 
 
@@ -434,11 +457,11 @@ def _spectrum_table(config: RunConfig, compute) -> int:
     rows = []
     for parity in parities:
         usable = [nu for nu in orders if mathieu.has_branch(nu, parity)]
-        for nu, e in compute(config.params, usable, parity):
-            rows.append({"nu": nu, "parity": parity, "energy": e})
-    rows.sort(key=lambda r: (r["nu"], r["parity"]))
-    _write_output(_render(rows, ["nu", "parity", "energy"], config.output_format),
-                  config.output_path)
+        rows += [(nu, parity, e) for nu, e in compute(config.params, usable, parity)]
+    rows.sort(key=lambda r: (r[0], r[1]))
+    columns = {"nu": [r[0] for r in rows], "parity": [r[1] for r in rows],
+               "energy": [r[2] for r in rows]}
+    _write_output(_render(columns, config.output_format), config.output_path)
     return _EXIT_OK
 
 
@@ -453,50 +476,39 @@ def _cmd_inplane(config: RunConfig) -> int:
 def _cmd_verify(config: RunConfig) -> int:
     n = config.opt("n")
     if n is not None:
-        rows = []
-        for sol in solve_level(n, config.params):
-            rep = verify.radial_residual(n, sol, config.params)
-            for r, res in zip(rep.grid, rep.residuals):
-                rows.append(
-                    {
-                        "n": n,
-                        "branch": sol.indices.branch,
-                        "r": float(r),
-                        "residual": float(res),
-                    }
-                )
-        _write_output(
-            _render(rows, ["n", "branch", "r", "residual"], config.output_format),
-            config.output_path,
-        )
+        reports = [
+            (sol.indices.branch, verify.radial_residual(n, sol, config.params))
+            for sol in solve_level(n, config.params)
+        ]
+        branches = [branch for branch, rep in reports for _ in rep.grid]
+        columns = {
+            "n": [n] * len(branches),
+            "branch": branches,
+            "r": np.concatenate([rep.grid for _, rep in reports]),
+            "residual": np.concatenate([rep.residuals for _, rep in reports]),
+        }
+        _write_output(_render(columns, config.output_format), config.output_path)
         return _EXIT_OK
 
     suite_params = config.params if config.opt("params_given") else None
     cases = verify.run_suite(config.opt("suite"), suite_params, seed=config.opt("seed"))
-    rows = [
-        {
-            "case": c.name,
-            "max_residual": c.max_residual,
-            "tolerance": c.tolerance,
-            "passed": c.passed,
-        }
-        for c in cases
-    ]
+    columns = {
+        "case": [c.name for c in cases],
+        "max_residual": [c.max_residual for c in cases],
+        "tolerance": [c.tolerance for c in cases],
+        "passed": [c.passed for c in cases],
+    }
     out = config.output_path
     out_is_dir = out is not None and os.path.isdir(out)
-    table = _render(rows, ["case", "max_residual", "tolerance", "passed"], config.output_format)
+    table = _render(columns, config.output_format)
     if out_is_dir:
         sys.stdout.write(table)
         for c in cases:
             if c.report is None:
                 continue
             name = re.sub(r"[^A-Za-z0-9.-]+", "_", c.name) + ".csv"
-            case_rows = [
-                {"grid": float(g), "residual": float(r)}
-                for g, r in zip(c.report.grid, c.report.residuals)
-            ]
             _write_output(
-                _render(case_rows, ["grid", "residual"], "csv"),
+                _render({"grid": c.report.grid, "residual": c.report.residuals}, "csv"),
                 os.path.join(out, name),
             )
     else:

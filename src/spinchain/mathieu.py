@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DomainError
 from .params import PhysicalParams
@@ -145,6 +144,11 @@ def solve(nu: float, q: float, parity: str = "ce") -> MathieuSolutionRecord:
     orders carry distinct characteristic values (a_n vs b_n), fractional
     orders share one. "se" of order 0 does not exist.
     """
+    # scipy.linalg takes about 0.35 s to import; commands without Mathieu skip it
+    from scipy.linalg import eigh_tridiagonal
+
+    # an int q would make an int off-diagonal, truncating the sqrt(2) scaling
+    nu, q = float(nu), float(q)
     if not (math.isfinite(nu) and math.isfinite(q)):
         raise DomainError("nu and q must be finite")
     if nu < 0:

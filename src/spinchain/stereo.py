@@ -7,7 +7,9 @@ The map and its inverse are
 
 so S3 = +1 goes to the origin and S3 = -1 to the point at infinity, which
 is represented by an explicit flag rather than IEEE infinities so that
-round trips through the pole stay exact.
+round trips through the pole stay exact. `project_array` and
+`unproject_array` apply the same arithmetic to whole columns, carrying the
+flag as a boolean mask, and reject the rows the point types reject.
 
 The same module holds the two kinetic densities whose equality expresses
 the sigma-model structure of the static energy functional:
@@ -21,8 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConstraintViolationError, DomainError
 
+_NORM_TOL = 1e-9
 _UNIT_TOL = 1e-12
 _TANGENT_TOL = 1e-10
 
@@ -37,7 +42,7 @@ class SpinPoint:
 
     def __post_init__(self):
         n2 = self.s1**2 + self.s2**2 + self.s3**2
-        if abs(n2 - 1.0) > 1e-9:
+        if abs(n2 - 1.0) > _NORM_TOL:
             raise ConstraintViolationError(
                 f"spin vector must be unit length, |S|^2 = {n2!r}"
             )
@@ -84,6 +89,55 @@ def unproject(w: ComplexFieldPoint) -> SpinPoint:
     u = w.p * w.p + w.q * w.q
     denom = 1.0 + u
     return SpinPoint(2.0 * w.p / denom, 2.0 * w.q / denom, (1.0 - u) / denom)
+
+
+def project_array(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`project` on the rows of an (N, 3) array: (N, 2) (P, Q) and at_infinity.
+
+    Rows at infinity carry (0, 0). A row that is not unit length raises
+    ConstraintViolationError and one that maps to a non-finite point raises
+    DomainError, as `SpinPoint` and `ComplexFieldPoint` do; the message
+    names the first such row, counted from 0.
+    """
+    s = np.asarray(s, dtype=float).reshape(-1, 3)
+    s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        n2 = s1 * s1 + s2 * s2 + s3 * s3
+        denom = 1.0 + s3
+        at_infinity = denom == 0.0
+        w = s[:, :2] / np.where(at_infinity, 1.0, denom)[:, None]
+        non_unit = np.abs(n2 - 1.0) > _NORM_TOL
+    w[at_infinity] = 0.0
+    bad = np.flatnonzero(non_unit | ~np.isfinite(w).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        if non_unit[i]:
+            raise ConstraintViolationError(
+                f"row {i}: spin vector must be unit length, |S|^2 = {float(n2[i])!r}"
+            )
+        raise DomainError(f"row {i}: finite field point requires finite (P, Q)")
+    return w, at_infinity
+
+
+def unproject_array(w: np.ndarray, at_infinity: np.ndarray) -> np.ndarray:
+    """`unproject` on the rows of an (N, 2) array: (N, 3) spins.
+
+    Rows flagged in `at_infinity` give the south pole exactly, whatever
+    their (P, Q); any other row must be finite, else DomainError names the
+    first one, counted from 0.
+    """
+    w = np.asarray(w, dtype=float).reshape(-1, 2)
+    at_infinity = np.asarray(at_infinity, dtype=bool)
+    bad = np.flatnonzero(~at_infinity & ~np.isfinite(w).all(axis=1))
+    if bad.size:
+        raise DomainError(f"row {int(bad[0])}: finite field point requires finite (P, Q)")
+    p, q = w[:, 0], w[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = p * p + q * q
+        denom = 1.0 + u
+        s = np.column_stack([2.0 * p / denom, 2.0 * q / denom, (1.0 - u) / denom])
+    s[at_infinity] = (0.0, 0.0, -1.0)
+    return s
 
 
 def tangent_pushforward(

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import eigsh
 
 from . import mathieu as _mathieu
 from . import stereo
@@ -104,7 +102,13 @@ def mathieu_residual(
     a_value: float | None = None,
     tolerance: float = MATHIEU_TOL,
 ) -> ResidualReport:
-    """w'' + (a - 2q cos 2x) w from the trigonometric series, exact per mode."""
+    """w'' + (a - 2q cos 2x) w from the trigonometric series, exact per mode.
+
+    The pointwise denominator is floored at 1e-3 max(1, largest term on the
+    grid): where w decays to rounding level, the residual is rounding of
+    terms of the size of that largest one, so a fixed floor would fail
+    correct large-|q| solutions.
+    """
     if x_grid is None:
         x_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     x = np.asarray(x_grid, dtype=float)
@@ -114,9 +118,8 @@ def mathieu_residual(
     wpp = record.second_derivative(x)
     pot = 2.0 * q * np.cos(2.0 * x)
     residual = wpp + (a_val - pot) * w
-    denom = np.maximum.reduce(
-        [np.abs(wpp), np.abs(a_val * w), np.abs(pot * w), np.full_like(x, 1e-3)]
-    )
+    terms = np.maximum.reduce([np.abs(wpp), np.abs(a_val * w), np.abs(pot * w)])
+    denom = np.maximum(terms, 1e-3 * max(1.0, float(np.max(terms))))
     rel = np.abs(residual) / denom
     max_rel = float(np.max(rel))
     return ResidualReport(
@@ -136,6 +139,9 @@ def fd_eigs_periodic(q: float, nodes: int, count: int) -> np.ndarray:
     ~nu^4/12, so at 2048 nodes the raw values are good to ~5e-4 for nu = 5;
     use fd_eigs_richardson where sharper agreement is required.
     """
+    from scipy import sparse  # imported here: scipy.sparse is slow to load
+    from scipy.sparse.linalg import eigsh
+
     if nodes < 256:
         raise DomainError(f"need at least 256 nodes, got {nodes}")
     h = 2.0 * np.pi / nodes

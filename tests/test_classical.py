@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinchain.classical import (
+    DIVERGENCE_THRESHOLD,
     FieldState,
     hamiltonian_density,
     integrate_static,
@@ -129,3 +130,98 @@ def test_bad_inputs_rejected():
         integrate_static(FieldState(0, 0, 0, 0), (1.0, 0.0), 1e-3, FREE)
     with pytest.raises(DomainError):
         FieldState(float("nan"), 0.0, 0.0, 0.0)
+
+
+# --- scalar step against the array-per-step reference -------------------------
+
+
+# the formulas as written for numpy scalars, kept apart from the package's
+# kernels so that a change in their rounding shows
+
+
+def _reference_gradient(p, q, params):
+    u = p * p + q * q
+    d = 1.0 + u
+    d2 = d * d
+    d3 = d2 * d
+    anis = 2.0 * params.A * (1.0 - u) / d3
+    dvdp = anis * p + 0.5 * params.muB * (1.0 - p * p + q * q) / d2
+    dvdq = anis * q - params.muB * p * q / d2
+    return dvdp, dvdq
+
+
+def _reference_density(y, params):
+    p, q, pi_p, pi_q = y
+    d = 1.0 + p * p + q * q
+    u = p * p + q * q
+    dv = 1.0 + u
+    v = -0.25 * params.A * (1.0 - u) ** 2 / (dv * dv) + 0.5 * params.muB * p / dv
+    return 0.5 * d * d * (pi_p**2 + pi_q**2) + v
+
+
+def _reference_rhs(y, params):
+    p, q, pi_p, pi_q = y
+    d = 1.0 + p * p + q * q
+    d2 = d * d
+    k = pi_p * pi_p + pi_q * pi_q
+    dvdp, dvdq = _reference_gradient(p, q, params)
+    return np.array(
+        [d2 * pi_p, d2 * pi_q, -2.0 * p * d * k - dvdp, -2.0 * q * d * k - dvdq]
+    )
+
+
+def _reference_trajectory(initial, z_span, step, params):
+    """The same RK4 loop on length-4 numpy arrays."""
+    z0, z1 = z_span
+    n_steps = int(round((z1 - z0) / step))
+    z_grid = z0 + step * np.arange(n_steps + 1)
+    y = initial.as_array()
+    states, h_values = [y], [_reference_density(y, params)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            k1 = _reference_rhs(y, params)
+            k2 = _reference_rhs(y + 0.5 * step * k1, params)
+            k3 = _reference_rhs(y + 0.5 * step * k2, params)
+            k4 = _reference_rhs(y + step * k3, params)
+            y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > DIVERGENCE_THRESHOLD:
+                raise DivergenceError("reference diverged", z=float(z_grid[i + 1]))
+            states.append(y)
+            h_values.append(_reference_density(y, params))
+    return np.array(states), np.array(h_values)
+
+
+@pytest.mark.parametrize(
+    "state, params",
+    [
+        ((0.3, 0.1, 0.0, 0.2), make_params(A=2.0)),
+        ((0.1, 0.0, 0.0, 0.0), make_params(A=2.0)),
+        ((1.0, 0.0, 0.0, 0.1), make_params(A=0.0)),
+        ((0.6, 0.1, 0.05, 0.2), make_params(A=2.0, B=0.3)),
+        ((1.0, 0.0, 0.0, 0.05), make_params(A=0.0, B=1.0)),
+        ((-0.8, 1.7, 0.4, -0.3), make_params(A=3.1, B=-0.9, mu=1.3)),
+    ],
+)
+def test_scalar_step_matches_array_reference_bitwise(state, params):
+    initial = FieldState(*state)
+    traj = integrate_static(initial, (0.0, 3.0), 1e-3, params)
+    ref_states, ref_h = _reference_trajectory(initial, (0.0, 3.0), 1e-3, params)
+    assert np.array_equal(traj.state_array, ref_states)
+    assert np.array_equal(traj.h_values, ref_h)
+    assert traj.states[-1] == FieldState(*ref_states[-1])
+
+
+@pytest.mark.parametrize(
+    "state, params",
+    [
+        ((0.0, 0.0, 1e6, 0.0), FREE),
+        ((0.5, -0.2, 3e5, 2e5), make_params(A=1.0, B=2.0)),
+    ],
+)
+def test_divergence_location_matches_array_reference(state, params):
+    initial = FieldState(*state)
+    with pytest.raises(DivergenceError) as ref:
+        _reference_trajectory(initial, (0.0, 10.0), 1e-3, params)
+    with pytest.raises(DivergenceError) as new:
+        integrate_static(initial, (0.0, 10.0), 1e-3, params)
+    assert new.value.z == ref.value.z

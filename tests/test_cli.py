@@ -5,8 +5,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from spinchain import cli
 from spinchain.cli import main
 
 
@@ -146,6 +148,87 @@ def test_project_requires_an_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("0,0,1\nabc,0,1\n", 3),
+        ("0,0,1\n\n1,0,0\n0,0\n", 5),
+    ],
+)
+def test_project_batch_malformed_spin_cell_is_domain_error(tmp_path, capsys, body, line):
+    src = tmp_path / "spins.csv"
+    src.write_text("S1,S2,S3\n" + body)
+    code, out, err = run_cli(capsys, "project", "--batch", str(src))
+    assert code == 2
+    assert out == ""
+    assert f"line {line}:" in err and "Traceback" not in err
+
+
+def test_project_batch_empty_plane_cell_is_domain_error(tmp_path, capsys):
+    src = tmp_path / "plane.csv"
+    src.write_text("P,Q,at_infinity\n,,true\n1,2,false\n,3,false\n")
+    code, out, err = run_cli(capsys, "project", "--batch", str(src))
+    assert code == 2
+    assert out == ""
+    assert "line 4:" in err
+
+
+def test_project_batch_non_finite_row_is_domain_error(tmp_path, capsys):
+    src = tmp_path / "plane.csv"
+    src.write_text("P,Q\n1,2\n3,nan\n4,5\n")
+    code, out, err = run_cli(capsys, "project", "--batch", str(src))
+    assert (code, out) == (2, "")
+    assert "row 1:" in err
+
+
+# --- the column renderer ---------------------------------------------------------
+
+
+def _reference_render(rows, fieldnames, fmt):
+    """The dict-per-row renderer: one csv.writer row or JSON object per dict."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow([cli._csv_cell(row.get(name)) for name in fieldnames])
+        return buf.getvalue()
+    lines = []
+    for row in rows:
+        items = ", ".join(
+            f"{json.dumps(name)}: {cli._json_value(row.get(name))}" for name in fieldnames
+        )
+        lines.append("  {" + items + "}")
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_column_renderer_matches_row_renderer(fmt):
+    floats = np.array([-0.0, 1e-300, 1.2345678901234567, np.nan, -np.inf, 2.0**60])
+    blank = np.array([False, True, False, False, True, False])
+    with_blanks = [None if b else v for v, b in zip(floats[::-1].tolist(), blank)]
+    cells = {
+        "x_cells": [float(v) for v in floats],
+        "flag": [None, True, False, True, True, False],
+        "count": [0, -3, 10**20, np.int64(7), np.array([1, 2])[0], 5],
+        "z": [complex(1, -2), 1.5 + 0j, complex(-0.0, -0.0), complex(0.5, 1e-300), None, 2j],
+        "roots": [[], [complex(1, 2), complex(1, -2)], [0.25], [1 + 0j, -0.0], None, [3]],
+        "name": ["plain", "with,comma", 'with"quote', "ce", "", "a b"],
+        "weird,\"name": [np.float64(0.1), 1e16, 123456789012345678.0, -1.5e-7, 0.0, 1.0],
+    }
+    columns = {
+        "x": floats,
+        "blanked": cli._Blanked(floats[::-1].copy(), blank),
+        "ints": np.array([1, 2, 3, 4, 5, 6]),
+        **cells,
+    }
+    reference = {"x": floats.tolist(), "blanked": with_blanks, "ints": [1, 2, 3, 4, 5, 6], **cells}
+    rows = [{name: reference[name][i] for name in columns} for i in range(len(floats))]
+    assert cli._render(columns, fmt) == _reference_render(rows, list(columns), fmt)
+    empty = {name: [] for name in columns}
+    assert cli._render(empty, fmt) == _reference_render([], list(columns), fmt)
+
+
 # --- classical ----------------------------------------------------------------
 
 
@@ -261,3 +344,13 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "nu,parity,energy"
+
+
+def test_cli_import_leaves_scipy_linalg_and_sparse_unloaded():
+    code = (
+        "import sys, spinchain.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse'))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

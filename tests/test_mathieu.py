@@ -67,6 +67,15 @@ def test_continuity_in_q():
             assert abs(a1 - a0) < 10.0 * delta
 
 
+@pytest.mark.parametrize("n", [0, 2, 4])
+@pytest.mark.parametrize("q", [5, -3, 1])
+def test_integer_arguments_give_the_float_result(n, q):
+    rec = solve(n, q)
+    ref = solve(float(n), float(q))
+    assert rec.a_nu == ref.a_nu
+    assert np.array_equal(rec.fourier_coeffs, ref.fourier_coeffs)
+
+
 def test_branch_values_are_deterministic():
     assert characteristic_value(1.5, 2.0) == characteristic_value(1.5, 2.0)
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from spinchain.cli import main
 from spinchain.errors import ConstraintViolationError, DomainError
 from spinchain.stereo import (
     POINT_AT_INFINITY,
@@ -12,9 +17,11 @@ from spinchain.stereo import (
     kinetic_density_complex,
     kinetic_density_sphere,
     project,
+    project_array,
     project_tangent,
     tangent_pushforward,
     unproject,
+    unproject_array,
 )
 
 
@@ -96,6 +103,108 @@ def test_infinite_coordinates_rejected():
 def test_spin_point_norm_checked():
     with pytest.raises(ConstraintViolationError):
         SpinPoint(1.0, 1.0, 1.0)
+
+
+# --- whole-column maps --------------------------------------------------------
+
+
+def bits(values):
+    """Bit patterns, so -0.0 and 0.0 differ and NaN equals itself."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+unit_floats = st.floats(min_value=-1.0, max_value=1.0)
+spin_rows = st.lists(
+    st.one_of(
+        st.tuples(unit_floats, unit_floats, unit_floats),
+        st.sampled_from([(0.0, 0.0, -1.0), (0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=200)
+@given(rows=spin_rows)
+def test_project_array_matches_scalar_bitwise(rows):
+    spins = []
+    for v in rows:
+        n = math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
+        if n > 1e-3:
+            spins.append(v if n == 1.0 else tuple(c / n for c in v))
+    assume(spins)
+    scalar = [project(SpinPoint(*v)) for v in spins]
+    w, at_infinity = project_array(np.array(spins))
+    assert at_infinity.tolist() == [pt.at_infinity for pt in scalar]
+    assert bits(w) == bits([(pt.p, pt.q) for pt in scalar])
+
+
+@settings(max_examples=200)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(min_value=-1e6, max_value=1e6),
+            st.floats(min_value=-1e6, max_value=1e6),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_unproject_array_matches_scalar_bitwise(rows):
+    flags = np.array([inf for _, _, inf in rows])
+    scalar = [
+        unproject(POINT_AT_INFINITY if inf else ComplexFieldPoint(p, q)) for p, q, inf in rows
+    ]
+    s = unproject_array(np.array([(p, q) for p, q, _ in rows]), flags)
+    assert bits(s) == bits([pt.as_tuple() for pt in scalar])
+
+
+def test_array_maps_reject_what_the_point_types_reject():
+    good = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]
+    for bad, error in [
+        ((0.5, 0.5, 0.5), ConstraintViolationError),
+        ((np.inf, 0.0, 0.0), ConstraintViolationError),
+        ((np.nan, 0.0, 0.0), DomainError),
+        ((0.0, 0.0, np.nan), DomainError),
+    ]:
+        with pytest.raises(error):
+            project(SpinPoint(*bad))
+        with pytest.raises(error, match="row 1"):
+            project_array(np.array([good[0], bad, good[1]]))
+    with pytest.raises(DomainError, match="row 0"):
+        unproject_array(np.array([[np.nan, 0.0], [np.inf, 0.0]]), np.array([False, True]))
+    # a flagged row is the pole whatever its coordinates
+    assert unproject_array(np.array([[np.inf, np.nan]]), np.array([True])).tolist() == [
+        [0.0, 0.0, -1.0]
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=5),
+    bad=st.one_of(
+        st.sampled_from([(np.nan, 0.0, 1.0), (0.0, 0.0, np.nan), (np.inf, 0.0, 0.0)]),
+        st.tuples(unit_floats, unit_floats, unit_floats).filter(
+            lambda v: abs(v[0] ** 2 + v[1] ** 2 + v[2] ** 2 - 1.0) > 1e-6
+        ),
+    ),
+)
+def test_batch_rejects_non_unit_and_nan_spin_rows(index, bad):
+    rows = [(0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.0, 0.0, -1.0)] * 2
+    rows[index] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "spins.csv")
+        out = os.path.join(tmp, "out.csv")
+        with open(src, "w") as fh:
+            fh.write("S1,S2,S3\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(["project", "--batch", src]) == 2
+            assert main(["project", "--batch", src, "--out", out]) == 2
+        assert stdout.getvalue() == ""
+        assert not os.path.exists(out)
+        assert f"row {index}" in stderr.getvalue()
 
 
 # --- kinetic densities -------------------------------------------------------

@@ -73,6 +73,18 @@ def test_corrupted_characteristic_value_is_loud():
     assert wrong / clean >= 1e3
 
 
+@pytest.mark.parametrize(
+    "nu, q", [(0.0, 1e4), (1.5, 1e4), (1.5, -1e4), (0.5, 1e5), (3.0, 1e5)]
+)
+def test_large_q_solutions_are_certified(nu, q):
+    # w decays to ~1e-14 in the forbidden zone; the floor of the denominator
+    # scales with the largest term, so rounding there does not read as error
+    rec = solve(nu, q, "ce")
+    assert mathieu_residual(rec).passed
+    assert not mathieu_residual(rec, a_value=rec.a_nu + 0.01).passed
+    assert not mathieu_residual(rec, a_value=rec.a_nu * (1.0 + 1e-3)).passed
+
+
 # --- finite-difference oracle -------------------------------------------------
 
 
