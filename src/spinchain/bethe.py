@@ -32,8 +32,7 @@ level n carries n + 1 solution branches (for n = 1 these are the two
 closed-form root branches), one per recurrence eigenvalue; roots may leave
 the real axis in conjugate pairs and are kept. The solver seeds one Newton
 polish per eigenpair and then requires the polished branches to match the
-eigenvalues one to one, so a level is returned complete or not at all. The
-Newton route also runs from arbitrary seeds, independently of the recurrence.
+eigenvalues one to one, so a level is returned complete or not at all.
 """
 
 from __future__ import annotations
@@ -287,23 +286,17 @@ def coefficient_recurrence_solutions(
     return solutions
 
 
-def bethe_roots(
-    n: int,
-    params: PhysicalParams,
-    seeds: Sequence[Sequence[complex]] | None = None,
-) -> list[tuple[complex, ...]]:
+def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
     """All root-set branches of level n by damped Newton iteration.
 
     Returns one tuple of n roots per branch, sorted by the branch energy
-    (an empty list for n = 0, which has no roots). By default each of the
-    n + 1 eigenpairs of the recurrence route seeds one Newton polish from
-    the roots of its polynomial, and the polished branches must match the
+    (an empty list for n = 0, which has no roots). Each of the n + 1
+    eigenpairs of the recurrence route seeds one Newton polish from the
+    roots of its polynomial, and the polished branches must match the
     recurrence eigenvalues one to one in xi; otherwise
     IncompleteSpectrumError is raised, so the result is always all n + 1
-    branches. Explicit `seeds` run the Newton polish without the recurrence
-    and return the distinct branches they reach. Every returned set
-    satisfies the Bethe system with residual below 1e-10 and has
-    pairwise-distinct roots.
+    branches. Every returned set satisfies the Bethe system with residual
+    below 1e-10 and has pairwise-distinct roots.
     """
     if n < 0:
         raise DomainError(f"level index must be non-negative, got {n}")
@@ -311,15 +304,13 @@ def bethe_roots(
     if n == 0:
         return []
     lam = lambda_n(n)
-
-    if seeds is not None:
-        return _polish_seeds(n, a, lam, seeds)
-
     oracle = coefficient_recurrence_solutions(n, params)
     xi_ref = np.array([xi for xi, _ in oracle])
     matched: dict[int, np.ndarray] = {}
     best_residual = math.inf
     for _, s in oracle:
+        if not np.all(np.isfinite(s)):
+            continue  # the leading entry underflowed: no polynomial to seed from
         z, res = _polish(np.polynomial.polynomial.polyroots(s.astype(complex)), n, a, lam)
         if z is None:
             best_residual = min(best_residual, res)
@@ -337,29 +328,6 @@ def bethe_roots(
             best_residual=best_residual if best_residual < math.inf else None,
         )
     return [tuple(complex(v) for v in matched[k]) for k in range(n + 1)]
-
-
-def _polish_seeds(
-    n: int, a: float, lam: float, seeds: Sequence[Sequence[complex]]
-) -> list[tuple[complex, ...]]:
-    """Distinct branches reached from explicit seeds, sorted by energy."""
-    found: list[tuple[complex, np.ndarray]] = []
-    best_residual = math.inf
-    for seed in seeds:
-        z, res = _polish(np.asarray(seed, dtype=complex), n, a, lam)
-        best_residual = min(best_residual, res)
-        if z is None:
-            continue
-        xi = _branch_xi(z, a, lam)
-        if not any(_same_xi(xi, other) for other, _ in found):
-            found.append((xi, z))
-    if not found:
-        raise ConvergenceError(
-            f"Newton iteration found no Bethe root set for n = {n}",
-            best_residual=best_residual,
-        )
-    found.sort(key=lambda t: (t[0].real, t[0].imag))
-    return [tuple(complex(v) for v in z) for _, z in found]
 
 
 def solve_level(n: int, params: PhysicalParams) -> list[BetheSolution]:

@@ -148,19 +148,19 @@ def integrate_static(
     half, sixth = 0.5 * step, step / 6.0
     p, q, pp, pq = map(float, (initial.p, initial.q, initial.pi_p, initial.pi_q))
     states = np.empty((n_steps + 1, 4))
-    states[0] = (p, q, pp, pq)
     h_values = np.empty(n_steps + 1)
-    h_values[0] = _density(p, q, pp, pq, a, mub)
-    for i in range(1, n_steps + 1):
-        a1, b1, c1, d1 = _rhs(p, q, pp, pq, a, mub)
-        a2, b2, c2, d2 = _rhs(p + half * a1, q + half * b1, pp + half * c1, pq + half * d1, a, mub)
-        a3, b3, c3, d3 = _rhs(p + half * a2, q + half * b2, pp + half * c2, pq + half * d2, a, mub)
-        a4, b4, c4, d4 = _rhs(p + step * a3, q + step * b3, pp + step * c3, pq + step * d3, a, mub)
-        p = p + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        q = q + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        pp = pp + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        pq = pq + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        # NaN fails every comparison, so this also catches non-finite states
+    for i in range(n_steps + 1):
+        if i:
+            a1, b1, c1, d1 = _rhs(p, q, pp, pq, a, mub)
+            a2, b2, c2, d2 = _rhs(p + half * a1, q + half * b1, pp + half * c1, pq + half * d1, a, mub)
+            a3, b3, c3, d3 = _rhs(p + half * a2, q + half * b2, pp + half * c2, pq + half * d2, a, mub)
+            a4, b4, c4, d4 = _rhs(p + step * a3, q + step * b3, pp + step * c3, pq + step * d3, a, mub)
+            p = p + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            q = q + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            pp = pp + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            pq = pq + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        # NaN fails every comparison, so this also catches non-finite states;
+        # the initial state is tested too, since _density overflows beyond it
         if not (abs(p) <= DIVERGENCE_THRESHOLD and abs(q) <= DIVERGENCE_THRESHOLD
                 and abs(pp) <= DIVERGENCE_THRESHOLD and abs(pq) <= DIVERGENCE_THRESHOLD):
             z_here = float(z_grid[i])

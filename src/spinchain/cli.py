@@ -98,7 +98,7 @@ def _fmt_complex(z: complex) -> str:
 def _csv_cell(value: Any) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -114,7 +114,7 @@ def _csv_cell(value: Any) -> str:
 def _json_value(value: Any) -> str:
     if value is None:
         return "null"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -436,11 +436,9 @@ def _cmd_mathieu(config: RunConfig) -> int:
     samples = config.opt("samples")
     if samples > 0:
         xs = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        ce_rec = mathieu.solve(nu, q, "ce")
-        columns = {"x": xs, "ce": [float(ce_rec(x)) for x in xs]}
+        columns = {"x": xs, "ce": mathieu.solve(nu, q, "ce")(xs)}
         if mathieu.has_branch(nu, "se"):
-            se_rec = mathieu.solve(nu, q, "se")
-            columns["se"] = [float(se_rec(x)) for x in xs]
+            columns["se"] = mathieu.solve(nu, q, "se")(xs)
         _write_output(_render(columns, config.output_format), config.output_path)
         return _EXIT_OK
     record = mathieu.solve(nu, q, parity)

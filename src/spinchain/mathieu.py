@@ -79,16 +79,15 @@ class MathieuSolutionRecord:
     fourier_coeffs: np.ndarray
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        phase = np.multiply.outer(x, self.frequencies)
-        basis = np.cos(phase) if self.parity == "ce" else np.sin(phase)
-        return basis @ self.fourier_coeffs
+        return self._basis(x) @ self.fourier_coeffs
 
     def second_derivative(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        phase = np.multiply.outer(x, self.frequencies)
-        basis = np.cos(phase) if self.parity == "ce" else np.sin(phase)
-        return -(basis * self.frequencies**2) @ self.fourier_coeffs
+        return -(self._basis(x) * self.frequencies**2) @ self.fourier_coeffs
+
+    def _basis(self, x) -> np.ndarray:
+        """cos(f_j x) or sin(f_j x), one column per frequency."""
+        phase = np.multiply.outer(np.asarray(x, dtype=float), self.frequencies)
+        return np.cos(phase) if self.parity == "ce" else np.sin(phase)
 
 
 def _is_integer(nu: float) -> bool:

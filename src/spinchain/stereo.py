@@ -7,15 +7,16 @@ The map and its inverse are
 
 so S3 = +1 goes to the origin and S3 = -1 to the point at infinity, which
 is represented by an explicit flag rather than IEEE infinities so that
-round trips through the pole stay exact. `project_array` and
-`unproject_array` apply the same arithmetic to whole columns, carrying the
-flag as a boolean mask, and reject the rows the point types reject.
-
-The same module holds the two kinetic densities whose equality expresses
-the sigma-model structure of the static energy functional:
+round trips through the pole stay exact. The same module holds the two
+kinetic densities whose equality expresses the sigma-model structure of
+the static energy functional:
 
     (sphere)   (1/2) |dS/dz|^2
     (plane)    2 (P_z^2 + Q_z^2) / (1 + P^2 + Q^2)^2
+
+Every formula is written once, on columns (`project_array`,
+`unproject_array` and the private kernels); the point-typed functions send
+one row through it.
 """
 
 from __future__ import annotations
@@ -28,8 +29,19 @@ import numpy as np
 from .errors import ConstraintViolationError, DomainError
 
 _NORM_TOL = 1e-9
-_UNIT_TOL = 1e-12
 _TANGENT_TOL = 1e-10
+
+
+def _dot(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of two (N, 3) arrays, summed in component order."""
+    return s[:, 0] * t[:, 0] + s[:, 1] * t[:, 1] + s[:, 2] * t[:, 2]
+
+
+def _unit_norm(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|S|^2 of each row of an (N, 3) array, and where it misses 1 by more than _NORM_TOL."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        n2 = _dot(s, s)
+    return n2, np.abs(n2 - 1.0) > _NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -41,10 +53,10 @@ class SpinPoint:
     s3: float
 
     def __post_init__(self):
-        n2 = self.s1**2 + self.s2**2 + self.s3**2
-        if abs(n2 - 1.0) > _NORM_TOL:
+        n2, non_unit = _unit_norm(np.array([self.as_tuple()], dtype=float))
+        if non_unit[0]:
             raise ConstraintViolationError(
-                f"spin vector must be unit length, |S|^2 = {n2!r}"
+                f"spin vector must be unit length, |S|^2 = {float(n2[0])!r}"
             )
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -76,19 +88,14 @@ POINT_AT_INFINITY = ComplexFieldPoint(0.0, 0.0, at_infinity=True)
 
 def project(s: SpinPoint) -> ComplexFieldPoint:
     """Map a unit spin vector to omega = (S1 + i S2)/(1 + S3)."""
-    denom = 1.0 + s.s3
-    if denom == 0.0:
-        return POINT_AT_INFINITY
-    return ComplexFieldPoint(s.s1 / denom, s.s2 / denom)
+    w, at_infinity = project_array(np.array([s.as_tuple()], dtype=float))
+    return POINT_AT_INFINITY if at_infinity[0] else ComplexFieldPoint(*w[0].tolist())
 
 
 def unproject(w: ComplexFieldPoint) -> SpinPoint:
     """Inverse map; the infinity flag returns the south pole (0, 0, -1)."""
-    if w.at_infinity:
-        return SpinPoint(0.0, 0.0, -1.0)
-    u = w.p * w.p + w.q * w.q
-    denom = 1.0 + u
-    return SpinPoint(2.0 * w.p / denom, 2.0 * w.q / denom, (1.0 - u) / denom)
+    s = unproject_array(np.array([[w.p, w.q]], dtype=float), np.array([w.at_infinity]))
+    return SpinPoint(*s[0].tolist())
 
 
 def project_array(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,13 +107,11 @@ def project_array(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     names the first such row, counted from 0.
     """
     s = np.asarray(s, dtype=float).reshape(-1, 3)
-    s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2]
+    n2, non_unit = _unit_norm(s)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        n2 = s1 * s1 + s2 * s2 + s3 * s3
-        denom = 1.0 + s3
+        denom = 1.0 + s[:, 2]
         at_infinity = denom == 0.0
         w = s[:, :2] / np.where(at_infinity, 1.0, denom)[:, None]
-        non_unit = np.abs(n2 - 1.0) > _NORM_TOL
     w[at_infinity] = 0.0
     bad = np.flatnonzero(non_unit | ~np.isfinite(w).all(axis=1))
     if bad.size:
@@ -140,28 +145,43 @@ def unproject_array(w: np.ndarray, at_infinity: np.ndarray) -> np.ndarray:
     return s
 
 
-def tangent_pushforward(
-    w: ComplexFieldPoint, pz: float, qz: float
-) -> tuple[float, float, float]:
-    """dS/dz for the path S(z) = unproject(P(z), Q(z)), by the chain rule."""
+def _finite_point_columns(w: ComplexFieldPoint, pz: float, qz: float, what: str) -> np.ndarray:
+    """(P, Q, P_z, Q_z) of one finite point as four (1,) columns."""
     if w.at_infinity:
-        raise DomainError("pushforward is undefined at the point at infinity")
-    p, q = w.p, w.q
+        raise DomainError(f"{what} is undefined at the point at infinity")
+    return np.array([[w.p, w.q, pz, qz]], dtype=float).T
+
+
+def _pushforward(p: np.ndarray, q: np.ndarray, pz: np.ndarray, qz: np.ndarray) -> np.ndarray:
+    """(N, 3) dS/dz of the paths S = unproject(P, Q), by the chain rule."""
     u = p * p + q * q
     d = 1.0 + u
     d2 = d * d
     ds1 = (2.0 / d - 4.0 * p * p / d2) * pz - 4.0 * p * q / d2 * qz
     ds2 = -4.0 * p * q / d2 * pz + (2.0 / d - 4.0 * q * q / d2) * qz
     ds3 = -4.0 * p / d2 * pz - 4.0 * q / d2 * qz
-    return (ds1, ds2, ds3)
+    return np.column_stack([ds1, ds2, ds3])
+
+
+def tangent_pushforward(
+    w: ComplexFieldPoint, pz: float, qz: float
+) -> tuple[float, float, float]:
+    """dS/dz for the path S(z) = unproject(P(z), Q(z)), by the chain rule."""
+    return tuple(_pushforward(*_finite_point_columns(w, pz, qz, "pushforward"))[0].tolist())
+
+
+def _density_plane(p: np.ndarray, q: np.ndarray, pz: np.ndarray, qz: np.ndarray) -> np.ndarray:
+    d = 1.0 + p * p + q * q
+    return 2.0 * (pz * pz + qz * qz) / (d * d)
 
 
 def kinetic_density_complex(w: ComplexFieldPoint, pz: float, qz: float) -> float:
     """2 (P_z^2 + Q_z^2) / (1 + P^2 + Q^2)^2."""
-    if w.at_infinity:
-        raise DomainError("kinetic density is undefined at the point at infinity")
-    d = 1.0 + w.p * w.p + w.q * w.q
-    return 2.0 * (pz * pz + qz * qz) / (d * d)
+    return float(_density_plane(*_finite_point_columns(w, pz, qz, "kinetic density"))[0])
+
+
+def _tangent_part(s: np.ndarray, sz: np.ndarray) -> np.ndarray:
+    return sz - _dot(s, sz)[:, None] * s
 
 
 def project_tangent(
@@ -173,18 +193,24 @@ def project_tangent(
     normal component; stripping it restores the tangency contract of
     kinetic_density_sphere while changing the density only at O(h^4).
     """
-    dot = s.s1 * sz[0] + s.s2 * sz[1] + s.s3 * sz[2]
-    return (sz[0] - dot * s.s1, sz[1] - dot * s.s2, sz[2] - dot * s.s3)
+    return tuple(_tangent_part(np.array([s.as_tuple()]), np.array([sz], dtype=float))[0].tolist())
+
+
+def _density_sphere(s: np.ndarray, sz: np.ndarray) -> np.ndarray:
+    """(1/2) |S_z|^2 per row; ConstraintViolationError names the first non-tangent row."""
+    dot = _dot(s, sz)
+    sq = _dot(sz, sz)
+    bad = np.flatnonzero(np.abs(dot) > _TANGENT_TOL * np.maximum(1.0, np.sqrt(sq)))
+    if bad.size:
+        i = int(bad[0])
+        raise ConstraintViolationError(
+            f"row {i}: derivative not tangent to the sphere: S . S_z = {float(dot[i])!r}"
+        )
+    return 0.5 * sq
 
 
 def kinetic_density_sphere(
     s: SpinPoint, sz: tuple[float, float, float]
 ) -> float:
     """(1/2) |dS/dz|^2 for a derivative tangent to the sphere."""
-    dot = s.s1 * sz[0] + s.s2 * sz[1] + s.s3 * sz[2]
-    scale = max(1.0, math.sqrt(sz[0] ** 2 + sz[1] ** 2 + sz[2] ** 2))
-    if abs(dot) > _TANGENT_TOL * scale:
-        raise ConstraintViolationError(
-            f"derivative not tangent to the sphere: S . S_z = {dot!r}"
-        )
-    return 0.5 * (sz[0] ** 2 + sz[1] ** 2 + sz[2] ** 2)
+    return float(_density_sphere(np.array([s.as_tuple()]), np.array([sz], dtype=float))[0])

@@ -173,11 +173,18 @@ def test_second_level_root_sets():
         assert bethe_residual(2, roots, A2) < 1e-10
 
 
-def test_explicit_seeds_are_respected():
-    # seeding only near one branch still converges to a valid solution
-    sets = bethe_roots(1, A2, seeds=[[0.2]])
-    assert len(sets) >= 1
-    assert min(abs(z[0] - 0.1339745962155614) for z in sets) < 1e-9
+def _polish_blind(n, params, seeds):
+    """Distinct branches Newton reaches from explicit seeds, with no recurrence input."""
+    a, lam = params.a, lambda_n(n)
+    found = []
+    for seed in seeds:
+        z, _ = bethe._polish(np.asarray(seed, dtype=complex), n, a, lam)
+        if z is not None and not any(
+            bethe._same_xi(bethe._branch_xi(z, a, lam), bethe._branch_xi(other, a, lam))
+            for other in found
+        ):
+            found.append(z)
+    return found
 
 
 def test_newton_finds_all_branches_without_oracle_seeds():
@@ -186,19 +193,20 @@ def test_newton_finds_all_branches_without_oracle_seeds():
     grid = [0.15, 0.45, 0.8, 1.4, 2.1]
     blind = [[grid[i], grid[j]] for i in range(5) for j in range(i + 1, 5)]
     blind += [[c + 0.4j, c - 0.4j] for c in (0.2, 0.9, 1.6, 2.2)]
-    sets = bethe_roots(2, A2, seeds=blind)
+    sets = _polish_blind(2, A2, blind)
     assert len(sets) == 3
     oracle_sets = [
         tuple(np.polynomial.polynomial.polyroots(s.astype(complex)))
         for _, s in coefficient_recurrence_solutions(2, A2)
     ]
     for roots in sets:
+        assert bethe_residual(2, roots, A2) < 1e-10
         assert min(root_set_distance(roots, o) for o in oracle_sets) < 1e-8
-
-
-def test_explicit_seeds_merge_duplicate_branches():
-    sets = bethe_roots(1, A2, seeds=[[0.2], [0.15], [1.9], [0.1]])
-    assert len(sets) == 2
+    # a seed near one branch converges to it
+    (near,) = _polish_blind(1, A2, [[0.2]])
+    assert abs(near[0] - 0.1339745962155614) < 1e-9
+    # seeds of the same branch merge into one
+    assert len(_polish_blind(1, A2, [[0.2], [0.15], [1.9], [0.1]])) == 2
 
 
 def _loop_system_and_jacobian(z, n, a, lam):

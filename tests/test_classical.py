@@ -121,6 +121,11 @@ def test_divergence_error_carries_location():
     with pytest.raises(DivergenceError) as excinfo:
         integrate_static(initial, (0.0, 10.0), 1e-3, FREE)
     assert 0.0 < excinfo.value.z < 10.0
+    # a start already past the threshold, whose H would overflow, fails at z0
+    for initial in (FieldState(1e80, 0.0, 0.0, 0.0), FieldState(0.0, 0.0, 1e182, 0.0)):
+        with pytest.raises(DivergenceError) as excinfo:
+            integrate_static(initial, (0.5, 1.0), 1e-3, A2)
+        assert excinfo.value.z == 0.5
 
 
 def test_bad_inputs_rejected():

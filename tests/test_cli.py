@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spinchain import cli
 from spinchain.cli import main
@@ -227,6 +229,63 @@ def test_column_renderer_matches_row_renderer(fmt):
     assert cli._render(columns, fmt) == _reference_render(rows, list(columns), fmt)
     empty = {name: [] for name in columns}
     assert cli._render(empty, fmt) == _reference_render([], list(columns), fmt)
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("csv", "flag,flags\ntrue,true;false\n"),
+        ("json", '[\n  {"flag": false, "flags": [true, false]}\n]\n'),
+    ],
+    ids=["csv", "json"],
+)
+def test_numpy_bools_render_as_bools(fmt, expected):
+    flag = np.bool_(fmt == "csv")
+    columns = {"flag": [flag], "flags": [[np.bool_(True), np.bool_(False)]]}
+    assert cli._render(columns, fmt) == expected
+
+
+# --- exit codes ------------------------------------------------------------------
+
+
+def _signed_power_of_ten(lo, hi):
+    return st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(lo, hi))
+
+
+_CLASSICAL_ARGV = st.builds(
+    lambda p, q, pip, piq, a: [
+        "classical", f"--P={p!r}", f"--Q={q!r}", f"--PiP={pip!r}", f"--PiQ={piq!r}",
+        f"--A={a!r}", "--z-span", "0", "0.01", "--step", "0.001",
+    ],
+    *[_signed_power_of_ten(-3, 200)] * 4,
+    _signed_power_of_ten(-8, 6),
+)
+_ROOTS_ARGV = st.builds(
+    lambda n, e: ["roots", "--n", str(n), f"--A={10.0**e!r}"],
+    st.integers(0, 12),
+    st.floats(-8, 6),
+)
+_MATHIEU_ARGV = st.builds(
+    lambda nu, q, parity: ["mathieu", f"--nu={nu!r}", f"--q={q!r}", "--parity", parity],
+    st.floats(0, 20),
+    _signed_power_of_ten(-3, 5),
+    st.sampled_from(["ce", "se"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=st.one_of(_CLASSICAL_ARGV, _ROOTS_ARGV, _MATHIEU_ARGV))
+@example(argv=["roots", "--n", "64", "--A", "1e-6"])
+@example(argv=["roots", "--n", "54", "--A", "1e-8"])
+@example(argv=["classical", "--P", "1e80", "--z-span", "0", "0.01", "--step", "0.001"])
+def test_wide_inputs_exit_with_a_documented_code(argv):
+    """Success, a domain error or a solver error, never a traceback; stdout stays empty on failure."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert stdout.getvalue() == ""
 
 
 # --- classical ----------------------------------------------------------------

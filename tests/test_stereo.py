@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from spinchain import stereo
 from spinchain.cli import main
 from spinchain.errors import ConstraintViolationError, DomainError
 from spinchain.stereo import (
@@ -103,6 +104,8 @@ def test_infinite_coordinates_rejected():
 def test_spin_point_norm_checked():
     with pytest.raises(ConstraintViolationError):
         SpinPoint(1.0, 1.0, 1.0)
+    with pytest.raises(ConstraintViolationError):
+        SpinPoint(1e200, 0.0, 0.0)  # |S|^2 overflows to inf, not OverflowError
 
 
 # --- whole-column maps --------------------------------------------------------
@@ -111,6 +114,23 @@ def test_spin_point_norm_checked():
 def bits(values):
     """Bit patterns, so -0.0 and 0.0 differ and NaN equals itself."""
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def project_reference(s1, s2, s3):
+    """The map on Python floats, as (P, Q, at_infinity)."""
+    denom = 1.0 + s3
+    if denom == 0.0:
+        return (0.0, 0.0, True)
+    return (s1 / denom, s2 / denom, False)
+
+
+def unproject_reference(p, q, at_infinity):
+    """The inverse map on Python floats."""
+    if at_infinity:
+        return (0.0, 0.0, -1.0)
+    u = p * p + q * q
+    denom = 1.0 + u
+    return (2.0 * p / denom, 2.0 * q / denom, (1.0 - u) / denom)
 
 
 unit_floats = st.floats(min_value=-1.0, max_value=1.0)
@@ -133,10 +153,13 @@ def test_project_array_matches_scalar_bitwise(rows):
         if n > 1e-3:
             spins.append(v if n == 1.0 else tuple(c / n for c in v))
     assume(spins)
-    scalar = [project(SpinPoint(*v)) for v in spins]
+    reference = [project_reference(*v) for v in spins]
     w, at_infinity = project_array(np.array(spins))
-    assert at_infinity.tolist() == [pt.at_infinity for pt in scalar]
-    assert bits(w) == bits([(pt.p, pt.q) for pt in scalar])
+    assert at_infinity.tolist() == [inf for _, _, inf in reference]
+    assert bits(w) == bits([(p, q) for p, q, _ in reference])
+    points = [project(SpinPoint(*v)) for v in spins]
+    assert bits([(pt.p, pt.q) for pt in points]) == bits(w)
+    assert [pt.at_infinity for pt in points] == at_infinity.tolist()
 
 
 @settings(max_examples=200)
@@ -153,11 +176,12 @@ def test_project_array_matches_scalar_bitwise(rows):
 )
 def test_unproject_array_matches_scalar_bitwise(rows):
     flags = np.array([inf for _, _, inf in rows])
-    scalar = [
+    points = [
         unproject(POINT_AT_INFINITY if inf else ComplexFieldPoint(p, q)) for p, q, inf in rows
     ]
     s = unproject_array(np.array([(p, q) for p, q, _ in rows]), flags)
-    assert bits(s) == bits([pt.as_tuple() for pt in scalar])
+    assert bits(s) == bits([unproject_reference(*row) for row in rows])
+    assert bits([pt.as_tuple() for pt in points]) == bits(s)
 
 
 def test_array_maps_reject_what_the_point_types_reject():
@@ -224,6 +248,9 @@ def test_kinetic_sphere_examples():
 def test_kinetic_sphere_rejects_non_tangent_derivative():
     with pytest.raises(ConstraintViolationError):
         kinetic_density_sphere(SpinPoint(0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
+    north = np.array([[0.0, 0.0, 1.0]] * 3)
+    with pytest.raises(ConstraintViolationError, match="row 1"):
+        stereo._density_sphere(north, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]))
 
 
 @settings(max_examples=200)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinchain import stereo
 from spinchain.bethe import solve_level
 from spinchain.errors import DomainError
 from spinchain.mathieu import characteristic_value, solve
@@ -134,6 +135,51 @@ def test_nlsm_equivalence_is_deterministic():
     a = nlsm_equivalence(25, seed=7)
     b = nlsm_equivalence(25, seed=7)
     assert a == b  # bit-for-bit
+
+
+def _nlsm_per_sample(samples, seed, derivative, h=1e-4):
+    """The check one path at a time through the point maps: (max deviation, largest density)."""
+    rng = np.random.default_rng(seed)
+    m = np.arange(1, 7)
+    worst = largest = 0.0
+    for _ in range(samples):
+        ap, bp, aq, bq = 0.4 * rng.normal(size=(4, 6)) / m**2
+
+        def fields(z):
+            c, s = np.cos(m * z), np.sin(m * z)
+            return (
+                float(np.sum(ap * c + bp * s)),
+                float(np.sum(aq * c + bq * s)),
+                float(np.sum(m * (-ap * s + bp * c))),
+                float(np.sum(m * (-aq * s + bq * c))),
+            )
+
+        z = float(rng.uniform(0.0, 2.0 * np.pi))
+        p, q, pz, qz = fields(z)
+        point = stereo.ComplexFieldPoint(p, q)
+        s = stereo.unproject(point)
+        if derivative == "analytic":
+            sz = stereo.tangent_pushforward(point, pz, qz)
+        else:
+            s_plus = stereo.unproject(stereo.ComplexFieldPoint(*fields(z + h)[:2])).as_tuple()
+            s_minus = stereo.unproject(stereo.ComplexFieldPoint(*fields(z - h)[:2])).as_tuple()
+            sz = tuple((hi - lo) / (2.0 * h) for hi, lo in zip(s_plus, s_minus))
+            sz = stereo.project_tangent(s, sz)
+        k_sphere = stereo.kinetic_density_sphere(s, sz)
+        k_plane = stereo.kinetic_density_complex(point, pz, qz)
+        worst = max(worst, abs(k_sphere - k_plane))
+        largest = max(largest, k_sphere, k_plane)
+    return worst, largest
+
+
+@pytest.mark.parametrize("derivative", ["analytic", "fd"])
+def test_nlsm_equivalence_matches_per_sample_reference(derivative):
+    """All paths at once give what one path at a time gives: exactly at the
+    default seed, and to 4 ulp of the largest density on 50 more seeds."""
+    assert nlsm_equivalence(100, 42, derivative) == _nlsm_per_sample(100, 42, derivative)[0]
+    for seed in range(50):
+        worst, largest = _nlsm_per_sample(40, seed, derivative)
+        assert abs(nlsm_equivalence(40, seed, derivative) - worst) <= 4 * np.spacing(largest)
 
 
 def test_nlsm_equivalence_rejects_bad_args():
