@@ -202,10 +202,16 @@ def test_newton_finds_all_branches_without_oracle_seeds():
     for roots in sets:
         assert bethe_residual(2, roots, A2) < 1e-10
         assert min(root_set_distance(roots, o) for o in oracle_sets) < 1e-8
-    # a seed near one branch converges to it
+
+
+def test_explicit_seeds_are_respected():
+    # seeding only near one branch still converges to a valid solution
     (near,) = _polish_blind(1, A2, [[0.2]])
     assert abs(near[0] - 0.1339745962155614) < 1e-9
-    # seeds of the same branch merge into one
+    assert bethe_residual(1, near, A2) < 1e-10
+
+
+def test_explicit_seeds_merge_duplicate_branches():
     assert len(_polish_blind(1, A2, [[0.2], [0.15], [1.9], [0.1]])) == 2
 
 
