@@ -20,13 +20,12 @@ from .errors import (
     IncompleteSpectrumError,
     RootCollisionError,
 )
-from .params import DerivedConstants, PhysicalParams, make_params
+from .params import PhysicalParams, make_params
 
 __all__ = [
     "ComplexBranchError",
     "ConstraintViolationError",
     "ConvergenceError",
-    "DerivedConstants",
     "DivergenceError",
     "DomainError",
     "IncompleteSpectrumError",

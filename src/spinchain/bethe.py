@@ -262,7 +262,9 @@ def coefficient_recurrence_solutions(
     All n + 1 pairs are returned, sorted by xi. No eigenvector has a
     vanishing leading coefficient: the last row reads m[n, n-1] s_{n-1} +
     m[n, n] s_n = -xi s_n with m[n, n-1] = 2a != 0, so s_n = 0 forces
-    s_{n-1} = 0 and, row by row upwards, s = 0.
+    s_{n-1} = 0 and, row by row upwards, s = 0. In floating point the last
+    entry of an eigenvector can still underflow (n = 64, A = 1e-6): that
+    pair carries non-finite coefficients, and `bethe_roots` skips it.
     """
     if n < 0:
         raise DomainError(f"level index must be non-negative, got {n}")
@@ -278,10 +280,11 @@ def coefficient_recurrence_solutions(
             m[j, j - 1] = b2 * (j - 1) + c1
     eigvals, eigvecs = np.linalg.eig(m)
     solutions = []
-    for k in range(dim):
-        s = eigvecs[:, k] / eigvecs[-1, k]
-        xi = _require_real(-eigvals[k], "xi")
-        solutions.append((xi, s))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k in range(dim):
+            s = eigvecs[:, k] / eigvecs[-1, k]
+            xi = _require_real(-eigvals[k], "xi")
+            solutions.append((xi, s))
     solutions.sort(key=lambda t: t[0])
     return solutions
 

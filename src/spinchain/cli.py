@@ -21,7 +21,7 @@ import operator
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -59,24 +59,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: exactly one command plus its options.
-
-    `params` is None for commands that take no physical parameters
-    (project, mathieu). `options` carries the command-specific flags.
-    """
-
-    command: str
-    output_format: str
-    output_path: str | None
-    params: PhysicalParams | None = None
-    options: dict[str, Any] = field(default_factory=dict)
-
-    def opt(self, name: str, default: Any = None) -> Any:
-        return self.options.get(name, default)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +177,6 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key = value parameter file")
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-
-
 def _build_params(args: argparse.Namespace) -> PhysicalParams:
     values = {"A": 0.0, "B": 0.0, "mu": 1.0, "hbar": 1.0}
     if args.config:
@@ -250,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", type=float, default=None)
     p.add_argument("--Q", type=float, default=None)
     p.add_argument("--batch", default=None, help="CSV with (S1,S2,S3) or (P,Q) columns")
-    _add_output_flags(p)
+    p.set_defaults(handler=_cmd_project)
 
     p = sub.add_parser("classical", help="integrate the static Hamilton equations")
     _add_param_flags(p)
@@ -260,68 +237,67 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--PiQ", type=float, default=0.0)
     p.add_argument("--z-span", type=float, nargs=2, default=(0.0, 10.0), metavar=("Z0", "Z1"))
     p.add_argument("--step", type=float, default=1e-3)
-    _add_output_flags(p)
+    p.set_defaults(handler=_cmd_classical)
 
     p = sub.add_parser("spectrum", help="quasi-exact level table up to --max-n")
     _add_param_flags(p)
     p.add_argument("--max-n", type=int, required=True)
-    _add_output_flags(p)
+    p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("roots", help="all root-set branches of one level")
     _add_param_flags(p)
     p.add_argument("--n", type=int, required=True)
-    _add_output_flags(p)
+    p.set_defaults(handler=_cmd_roots)
 
     p = sub.add_parser("mathieu", help="characteristic value and eigenfunctions")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--parity", choices=("ce", "se"), default="ce")
     p.add_argument("--samples", type=int, default=0, help="emit N samples of ce/se")
-    _add_output_flags(p)
+    p.set_defaults(handler=_cmd_mathieu)
 
-    p = sub.add_parser("offplane", help="out-of-plane energy table")
-    _add_param_flags(p)
-    p.add_argument("--orders", required=True, help="e.g. '0..5' or '0,0.5,1'")
-    p.add_argument("--parity", choices=("ce", "se", "both"), default="ce")
-    _add_output_flags(p)
-
-    p = sub.add_parser("inplane", help="in-plane energy table")
-    _add_param_flags(p)
-    p.add_argument("--orders", required=True, help="e.g. '0..5' or '0,0.5,1'")
-    p.add_argument("--parity", choices=("ce", "se", "both"), default="ce")
-    _add_output_flags(p)
+    for name, plane, spectrum in (
+        ("offplane", "out-of-plane", mathieu.offplane_spectrum),
+        ("inplane", "in-plane", mathieu.inplane_spectrum),
+    ):
+        p = sub.add_parser(name, help=f"{plane} energy table")
+        _add_param_flags(p)
+        p.add_argument("--orders", required=True, help="e.g. '0..5' or '0,0.5,1'")
+        p.add_argument("--parity", choices=("ce", "se", "both"), default="ce")
+        p.set_defaults(handler=_cmd_energy_table, spectrum=spectrum)
 
     p = sub.add_parser("verify", help="residual suites / per-level residual profile")
     _add_param_flags(p)
     p.add_argument("--suite", choices=("radial", "mathieu", "nlsm", "all"), default="all")
     p.add_argument("--n", type=int, default=None, help="emit the residual profile of level n")
     p.add_argument("--seed", type=int, default=42)
-    _add_output_flags(p)
+    p.set_defaults(handler=_cmd_verify)
 
+    # added last, so they close every command's usage line
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns its table as columns (name -> values)
 
 
-def _cmd_project(config: RunConfig) -> int:
-    s1, s2, s3 = config.opt("s1"), config.opt("s2"), config.opt("s3")
-    p, q = config.opt("P"), config.opt("Q")
-    if config.opt("batch"):
-        columns = _project_batch(config.opt("batch"))
-    elif s1 is not None or s2 is not None or s3 is not None:
+def _cmd_project(args: argparse.Namespace, params: None) -> dict[str, Any]:
+    s1, s2, s3 = args.s1, args.s2, args.s3
+    p, q = args.P, args.Q
+    if args.batch:
+        return _project_batch(args.batch)
+    if s1 is not None or s2 is not None or s3 is not None:
         if None in (s1, s2, s3):
             raise DomainError("spin input needs all of --s1 --s2 --s3")
-        columns = _plane_columns(np.array([[s1, s2, s3]]))
-    elif p is not None or q is not None:
+        return _plane_columns(np.array([[s1, s2, s3]]))
+    if p is not None or q is not None:
         if None in (p, q):
             raise DomainError("field input needs both --P and --Q")
-        columns = _spin_columns(np.array([[p, q]]), np.array([False]))
-    else:
-        raise DomainError("give --s1/--s2/--s3, --P/--Q, or --batch")
-    _write_output(_render(columns, config.output_format), config.output_path)
-    return _EXIT_OK
+        return _spin_columns(np.array([[p, q]]), np.array([False]))
+    raise DomainError("give --s1/--s2/--s3, --P/--Q, or --batch")
 
 
 def _plane_columns(s: np.ndarray) -> dict[str, Any]:
@@ -336,15 +312,18 @@ def _spin_columns(w: np.ndarray, at_infinity: np.ndarray) -> dict[str, Any]:
 
 
 def _project_batch(path: str) -> dict[str, Any]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        index = {name.strip(): j for j, name in enumerate(header)}
-        rows, lines = [], []
-        for row in reader:
-            if row:  # a blank line holds no row
-                rows.append(row)
-                lines.append(reader.line_num)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            index = {name.strip(): j for j, name in enumerate(header)}
+            rows, lines = [], []
+            for row in reader:
+                if row:  # a blank line holds no row
+                    rows.append(row)
+                    lines.append(reader.line_num)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
     if {"S1", "S2", "S3"} <= index.keys():
         return _plane_columns(_parse_cells(path, rows, lines, index, ("S1", "S2", "S3")))
     if {"P", "Q"} <= index.keys():
@@ -385,18 +364,12 @@ def _parse_cells(
     return np.array(values).reshape(-1, len(names))
 
 
-def _cmd_classical(config: RunConfig) -> int:
-    initial = classical.FieldState(
-        config.opt("P"), config.opt("Q"), config.opt("PiP"), config.opt("PiQ")
-    )
-    traj = classical.integrate_static(
-        initial, tuple(config.opt("z_span")), config.opt("step"), config.params
-    )
+def _cmd_classical(args: argparse.Namespace, params: PhysicalParams) -> dict[str, Any]:
+    initial = classical.FieldState(args.P, args.Q, args.PiP, args.PiQ)
+    traj = classical.integrate_static(initial, tuple(args.z_span), args.step, params)
     y = traj.state_array
-    columns = {"z": traj.z_grid, "P": y[:, 0], "Q": y[:, 1], "PiP": y[:, 2],
-               "PiQ": y[:, 3], "H": traj.h_values}
-    _write_output(_render(columns, config.output_format), config.output_path)
-    return _EXIT_OK
+    return {"z": traj.z_grid, "P": y[:, 0], "Q": y[:, 1], "PiP": y[:, 2],
+            "PiQ": y[:, 3], "H": traj.h_values}
 
 
 def _spectrum_columns(params: PhysicalParams, levels: Sequence[int]) -> dict[str, list]:
@@ -412,142 +385,82 @@ def _spectrum_columns(params: PhysicalParams, levels: Sequence[int]) -> dict[str
     }
 
 
-def _cmd_spectrum(config: RunConfig) -> int:
-    max_n = config.opt("max_n")
-    if max_n < 0:
-        raise DomainError(f"--max-n must be non-negative, got {max_n}")
-    columns = _spectrum_columns(config.params, range(max_n + 1))
-    _write_output(_render(columns, config.output_format), config.output_path)
-    return _EXIT_OK
+def _cmd_spectrum(args: argparse.Namespace, params: PhysicalParams) -> dict[str, Any]:
+    if args.max_n < 0:
+        raise DomainError(f"--max-n must be non-negative, got {args.max_n}")
+    return _spectrum_columns(params, range(args.max_n + 1))
 
 
-def _cmd_roots(config: RunConfig) -> int:
-    n = config.opt("n")
-    if n < 0:
-        raise DomainError(f"--n must be non-negative, got {n}")
-    columns = _spectrum_columns(config.params, [n])
-    _write_output(_render(columns, config.output_format), config.output_path)
-    return _EXIT_OK
+def _cmd_roots(args: argparse.Namespace, params: PhysicalParams) -> dict[str, Any]:
+    if args.n < 0:
+        raise DomainError(f"--n must be non-negative, got {args.n}")
+    return _spectrum_columns(params, [args.n])
 
 
-def _cmd_mathieu(config: RunConfig) -> int:
-    nu, q = config.opt("nu"), config.opt("q")
-    parity = config.opt("parity")
-    samples = config.opt("samples")
-    if samples > 0:
-        xs = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+def _cmd_mathieu(args: argparse.Namespace, params: None) -> dict[str, Any]:
+    nu, q = args.nu, args.q
+    if args.samples > 0:
+        xs = np.linspace(0.0, 2.0 * np.pi, args.samples, endpoint=False)
         columns = {"x": xs, "ce": mathieu.solve(nu, q, "ce")(xs)}
         if mathieu.has_branch(nu, "se"):
             columns["se"] = mathieu.solve(nu, q, "se")(xs)
-        _write_output(_render(columns, config.output_format), config.output_path)
-        return _EXIT_OK
-    record = mathieu.solve(nu, q, parity)
-    columns = {"nu": [nu], "q": [q], "parity": [parity], "a_nu": [record.a_nu],
-               "truncation": [record.problem.truncation]}
-    _write_output(_render(columns, config.output_format), config.output_path)
-    return _EXIT_OK
+        return columns
+    record = mathieu.solve(nu, q, args.parity)
+    return {"nu": [nu], "q": [q], "parity": [args.parity], "a_nu": [record.a_nu],
+            "truncation": [record.problem.truncation]}
 
 
-def _spectrum_table(config: RunConfig, compute) -> int:
-    orders = _parse_orders(config.opt("orders"))
-    parity_flag = config.opt("parity")
-    parities = ("ce", "se") if parity_flag == "both" else (parity_flag,)
+def _cmd_energy_table(args: argparse.Namespace, params: PhysicalParams) -> dict[str, Any]:
+    """offplane / inplane: `args.spectrum` is the reduction's spectrum function."""
+    orders = _parse_orders(args.orders)
+    parities = ("ce", "se") if args.parity == "both" else (args.parity,)
     rows = []
     for parity in parities:
         usable = [nu for nu in orders if mathieu.has_branch(nu, parity)]
-        rows += [(nu, parity, e) for nu, e in compute(config.params, usable, parity)]
+        rows += [(nu, parity, e) for nu, e in args.spectrum(params, usable, parity)]
     rows.sort(key=lambda r: (r[0], r[1]))
-    columns = {"nu": [r[0] for r in rows], "parity": [r[1] for r in rows],
-               "energy": [r[2] for r in rows]}
-    _write_output(_render(columns, config.output_format), config.output_path)
-    return _EXIT_OK
+    return {"nu": [r[0] for r in rows], "parity": [r[1] for r in rows],
+            "energy": [r[2] for r in rows]}
 
 
-def _cmd_offplane(config: RunConfig) -> int:
-    return _spectrum_table(config, mathieu.offplane_spectrum)
+def _cmd_verify(args: argparse.Namespace, params: PhysicalParams) -> dict[str, Any]:
+    """A level's residual profile (--n), or the suite table with its `passed` column.
 
-
-def _cmd_inplane(config: RunConfig) -> int:
-    return _spectrum_table(config, mathieu.inplane_spectrum)
-
-
-def _cmd_verify(config: RunConfig) -> int:
-    n = config.opt("n")
+    With `--out DIR` the suite writes one CSV per case into DIR and its
+    table goes to stdout.
+    """
+    n = args.n
     if n is not None:
         reports = [
-            (sol.indices.branch, verify.radial_residual(n, sol, config.params))
-            for sol in solve_level(n, config.params)
+            (sol.indices.branch, verify.radial_residual(n, sol, params))
+            for sol in solve_level(n, params)
         ]
         branches = [branch for branch, rep in reports for _ in rep.grid]
-        columns = {
+        return {
             "n": [n] * len(branches),
             "branch": branches,
             "r": np.concatenate([rep.grid for _, rep in reports]),
             "residual": np.concatenate([rep.residuals for _, rep in reports]),
         }
-        _write_output(_render(columns, config.output_format), config.output_path)
-        return _EXIT_OK
 
-    suite_params = config.params if config.opt("params_given") else None
-    cases = verify.run_suite(config.opt("suite"), suite_params, seed=config.opt("seed"))
-    columns = {
-        "case": [c.name for c in cases],
-        "max_residual": [c.max_residual for c in cases],
-        "tolerance": [c.tolerance for c in cases],
-        "passed": [c.passed for c in cases],
-    }
-    out = config.output_path
-    out_is_dir = out is not None and os.path.isdir(out)
-    table = _render(columns, config.output_format)
-    if out_is_dir:
-        sys.stdout.write(table)
+    suite_params = params if args.A is not None or args.config is not None else None
+    cases = verify.run_suite(args.suite, suite_params, seed=args.seed)
+    if args.out is not None and os.path.isdir(args.out):
         for c in cases:
             if c.report is None:
                 continue
             name = re.sub(r"[^A-Za-z0-9.-]+", "_", c.name) + ".csv"
             _write_output(
                 _render({"grid": c.report.grid, "residual": c.report.residuals}, "csv"),
-                os.path.join(out, name),
+                os.path.join(args.out, name),
             )
-    else:
-        _write_output(table, out)
-    return _EXIT_OK if all(c.passed for c in cases) else _EXIT_SUITE_FAILED
-
-
-_HANDLERS = {
-    "project": _cmd_project,
-    "classical": _cmd_classical,
-    "spectrum": _cmd_spectrum,
-    "roots": _cmd_roots,
-    "mathieu": _cmd_mathieu,
-    "offplane": _cmd_offplane,
-    "inplane": _cmd_inplane,
-    "verify": _cmd_verify,
-}
-
-_PARAMLESS_COMMANDS = {"project", "mathieu"}
-
-
-def _make_config(args: argparse.Namespace) -> RunConfig:
-    options = {
-        k: v for k, v in vars(args).items() if k not in ("command", "format", "out")
+        args.out = None  # the table itself goes to stdout
+    return {
+        "case": [c.name for c in cases],
+        "max_residual": [c.max_residual for c in cases],
+        "tolerance": [c.tolerance for c in cases],
+        "passed": [c.passed for c in cases],
     }
-    params = None
-    if args.command not in _PARAMLESS_COMMANDS:
-        params = _build_params(args)
-        options["params_given"] = args.A is not None or args.config is not None
-    return RunConfig(
-        command=args.command,
-        output_format=args.format,
-        output_path=args.out,
-        params=params,
-        options=options,
-    )
-
-
-def run(config: RunConfig) -> int:
-    """Execute one resolved invocation; returns the process exit status."""
-    return _HANDLERS[config.command](config)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -557,16 +470,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else _EXIT_OK
     try:
-        return run(_make_config(args))
+        # physical parameters for the commands that have the parameter flags
+        params = _build_params(args) if "config" in args else None
+        columns = args.handler(args, params)
+        _write_output(_render(columns, args.format), args.out)
     except (DomainError, ConstraintViolationError) as exc:
         print(f"spinchain: domain error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
     except (ConvergenceError, DivergenceError) as exc:
         print(f"spinchain: solver error: {exc}", file=sys.stderr)
         return _EXIT_SOLVER
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"spinchain: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
+    # a suite table fails the run when any of its cases failed
+    return _EXIT_OK if all(columns.get("passed", ())) else _EXIT_SUITE_FAILED
 
 
 if __name__ == "__main__":

@@ -63,20 +63,6 @@ class PhysicalParams:
         """Mathieu parameter of the in-plane reduction, mu*B/(4 hbar^2)."""
         return self.muB / (4.0 * self.hbar**2)
 
-    def derived(self) -> "DerivedConstants":
-        return DerivedConstants(
-            a=self.a, q_offplane=self.q_offplane, q_inplane=self.q_inplane
-        )
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Composite constants consumed by the spectral modules."""
-
-    a: float
-    q_offplane: float
-    q_inplane: float
-
 
 def make_params(
     A: float, B: float = 0.0, mu: float = 1.0, hbar: float = 1.0
@@ -93,19 +79,22 @@ def read_params_file(path: str) -> dict[str, float]:
     silently.
     """
     values: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in ("A", "B", "mu", "hbar"):
-                raise DomainError(f"{path}:{lineno}: unknown parameter {key!r}")
-            try:
-                values[key] = float(val.strip())
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: bad number {val.strip()!r}") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise DomainError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+                key, _, val = line.partition("=")
+                key = key.strip()
+                if key not in ("A", "B", "mu", "hbar"):
+                    raise DomainError(f"{path}:{lineno}: unknown parameter {key!r}")
+                try:
+                    values[key] = float(val.strip())
+                except ValueError as exc:
+                    raise DomainError(f"{path}:{lineno}: bad number {val.strip()!r}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
     return values

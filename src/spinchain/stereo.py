@@ -53,7 +53,10 @@ class SpinPoint:
     s3: float
 
     def __post_init__(self):
-        n2, non_unit = _unit_norm(np.array([self.as_tuple()], dtype=float))
+        s = np.array([self.as_tuple()], dtype=float)
+        if np.isnan(s).any():
+            raise DomainError(f"spin vector has a NaN component: {self.as_tuple()!r}")
+        n2, non_unit = _unit_norm(s)
         if non_unit[0]:
             raise ConstraintViolationError(
                 f"spin vector must be unit length, |S|^2 = {float(n2[0])!r}"
@@ -129,7 +132,8 @@ def unproject_array(w: np.ndarray, at_infinity: np.ndarray) -> np.ndarray:
 
     Rows flagged in `at_infinity` give the south pole exactly, whatever
     their (P, Q); any other row must be finite, else DomainError names the
-    first one, counted from 0.
+    first one, counted from 0. Where |omega|^2 overflows, S3 = -1 and
+    S1 + i S2 = 2 omega / |omega|^2, computed on (P, Q) / max(|P|, |Q|).
     """
     w = np.asarray(w, dtype=float).reshape(-1, 2)
     at_infinity = np.asarray(at_infinity, dtype=bool)
@@ -141,6 +145,13 @@ def unproject_array(w: np.ndarray, at_infinity: np.ndarray) -> np.ndarray:
         u = p * p + q * q
         denom = 1.0 + u
         s = np.column_stack([2.0 * p / denom, 2.0 * q / denom, (1.0 - u) / denom])
+    # where |omega|^2 overflows, scale (P, Q) down first
+    big = np.flatnonzero(~np.isfinite(u) & ~at_infinity)
+    if big.size:
+        m = np.maximum(np.abs(p[big]), np.abs(q[big]))
+        ps, qs = p[big] / m, q[big] / m
+        us = ps * ps + qs * qs
+        s[big] = np.column_stack([2.0 * ps / us / m, 2.0 * qs / us / m, np.full(big.size, -1.0)])
     s[at_infinity] = (0.0, 0.0, -1.0)
     return s
 

@@ -5,12 +5,13 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinchain import cli
+from spinchain import cli, verify
 from spinchain.cli import main
 
 
@@ -286,6 +287,55 @@ def test_wide_inputs_exit_with_a_documented_code(argv):
     assert code in (0, 2, 3)
     if code:
         assert stdout.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--n", "1", "--A", "2", "--out", "{dir}"],
+        ["spectrum", "--max-n", "1", "--config", "{dir}"],
+        ["inplane", "--B", "0", "--orders", "0", "--out", "{file}/out.csv"],
+        ["project", "--batch", "{dir}"],
+        ["spectrum", "--max-n", "1", "--config", "{latin1}"],
+        ["project", "--batch", "{latin1}"],
+    ],
+    ids=["out-dir", "config-dir", "out-under-file", "batch-dir", "config-latin1", "batch-latin1"],
+)
+def test_io_failures_exit_2_with_one_line(tmp_path, capsys, argv):
+    """A file that cannot be read, decoded or written is an input error: exit 2, not 1."""
+    (tmp_path / "file").write_text("")
+    (tmp_path / "latin1").write_bytes("# \xb5 is mu\nS1,S2,S3\n".encode("latin-1"))
+    paths = {"dir": tmp_path, "file": tmp_path / "file", "latin1": tmp_path / "latin1"}
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("spinchain: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_failing_suite_case_exits_1(tmp_path, capsys, monkeypatch):
+    report = verify.ResidualReport(
+        grid=np.array([0.0, 1.0]), residuals=np.array([0.0, 2.0]),
+        max_rel=2.0, passed=False, tolerance=1e-8,
+    )
+    case = verify.SuiteCase("radial n=0", 2.0, 1e-8, False, report)
+    monkeypatch.setattr(verify, "run_suite", lambda suite, params=None, seed=42: [case])
+    code, out, err = run_cli(capsys, "verify", "--suite", "radial")
+    assert (code, err) == (1, "")
+    assert parse_csv(out) == [
+        {"case": "radial n=0", "max_residual": "2", "tolerance": "1e-08", "passed": "false"}
+    ]
+    code, out_dir, _ = run_cli(capsys, "verify", "--suite", "radial", "--out", str(tmp_path))
+    assert (code, out_dir) == (1, out)
+    assert [f.name for f in tmp_path.iterdir()] == ["radial_n_0.csv"]
+    assert (tmp_path / "radial_n_0.csv").read_text() == "grid,residual\n0,0\n1,2\n"
+
+
+def test_underflowing_recurrence_vector_leaves_only_the_error_line(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "roots", "--n", "64", "--A", "1e-6")
+    assert (code, out) == (3, "")
+    assert err.startswith("spinchain: solver error: ") and err.count("\n") == 1
 
 
 # --- classical ----------------------------------------------------------------

@@ -10,10 +10,8 @@ from spinchain.params import PhysicalParams, make_params, read_params_file
 def test_reference_point_a_equals_one():
     p = make_params(A=2.0, B=0.0, mu=1.0, hbar=1.0)
     assert p.a == 1.0
-    d = p.derived()
-    assert d.a == 1.0
-    assert d.q_offplane == -2.0 / 32.0
-    assert d.q_inplane == 0.0
+    assert p.q_offplane == -2.0 / 32.0
+    assert p.q_inplane == 0.0
 
 
 def test_zero_anisotropy_is_constructible_but_a_fails_lazily():
@@ -21,8 +19,6 @@ def test_zero_anisotropy_is_constructible_but_a_fails_lazily():
     assert p.A == 0.0
     with pytest.raises(DomainError):
         _ = p.a
-    with pytest.raises(DomainError):
-        p.derived()
     # the Mathieu parameters never need a
     assert p.q_offplane == 0.0
     assert p.q_inplane == 0.0

@@ -106,6 +106,8 @@ def test_spin_point_norm_checked():
         SpinPoint(1.0, 1.0, 1.0)
     with pytest.raises(ConstraintViolationError):
         SpinPoint(1e200, 0.0, 0.0)  # |S|^2 overflows to inf, not OverflowError
+    with pytest.raises(DomainError):
+        SpinPoint(float("nan"), 0.0, 0.0)  # |nan - 1| > tol is false: checked on its own
 
 
 # --- whole-column maps --------------------------------------------------------
@@ -182,6 +184,17 @@ def test_unproject_array_matches_scalar_bitwise(rows):
     s = unproject_array(np.array([(p, q) for p, q, _ in rows]), flags)
     assert bits(s) == bits([unproject_reference(*row) for row in rows])
     assert bits([pt.as_tuple() for pt in points]) == bits(s)
+
+
+def test_unproject_past_the_overflow_of_omega_squared():
+    w = np.array([[1e200, 0.0], [0.0, -1e300], [1e308, 1e308]])
+    s = unproject_array(w, np.zeros(3, dtype=bool))
+    assert np.isfinite(s).all()
+    assert s[:, 2].tolist() == [-1.0, -1.0, -1.0]
+    assert np.abs((s * s).sum(axis=1) - 1.0).max() <= 1e-15
+    assert s[0, 0] == pytest.approx(2e-200, rel=1e-15)
+    assert s[1, 1] == pytest.approx(-2e-300, rel=1e-15)
+    assert unproject(ComplexFieldPoint(1e200, -0.0)).s3 == -1.0
 
 
 def test_array_maps_reject_what_the_point_types_reject():
