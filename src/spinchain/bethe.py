@@ -76,10 +76,8 @@ class HeunCoefficients:
     """Polynomial coefficients of sum a_j z^j S'' + sum b_j z^j S' + sum c_j z^j S = 0.
 
     The spin-chain specialization has a0 = a3 = a4 = b3 = c2 = 0, a1 = 1,
-    a2 = -1. c0 depends affinely (unit slope) on the spectral parameter xi,
-    which is unknown until a branch is solved; builders therefore take xi
-    as an argument, defaulting to 0 so that c0 then holds the xi-independent
-    offset.
+    a2 = -1. The full c0 is xi plus an offset, and xi is unknown until a
+    branch is solved, so c0 here holds only the xi-free offset.
     """
 
     a0: float
@@ -164,8 +162,8 @@ def derive_lambda_from_constraints(n: int) -> float:
     return float(lam)
 
 
-def heun_coefficients(n: int, params: PhysicalParams, xi: float = 0.0) -> HeunCoefficients:
-    """Specialized coefficients for level n; see class docstring for c0/xi."""
+def heun_coefficients(n: int, params: PhysicalParams) -> HeunCoefficients:
+    """Specialized coefficients for level n; c0 is the xi-free offset."""
     if n < 0:
         raise DomainError(f"level index must be non-negative, got {n}")
     a = params.a
@@ -181,7 +179,7 @@ def heun_coefficients(n: int, params: PhysicalParams, xi: float = 0.0) -> HeunCo
         b1=2.0 * (a - l),
         b2=-2.0 * a,
         b3=0.0,
-        c0=xi - a * (lam + 1.0) - l * (l - 1.0) + 2.0 * l * a,
+        c0=-a * (lam + 1.0) - l * (l - 1.0) + 2.0 * l * a,
         c1=-2.0 * l * a,
         c2=0.0,
     )
@@ -226,7 +224,7 @@ def energy_from_constraints(
     """
     if len(roots) != n:
         raise DomainError(f"expected {n} roots, got {len(roots)}")
-    coeffs = heun_coefficients(n, params, xi=0.0)
+    coeffs = heun_coefficients(n, params)
     z = np.asarray(roots, dtype=complex)
     s1 = z.sum() if n else 0.0 + 0.0j
     s2 = np.sum(z * z) if n else 0.0 + 0.0j
@@ -268,7 +266,7 @@ def coefficient_recurrence_solutions(
     """
     if n < 0:
         raise DomainError(f"level index must be non-negative, got {n}")
-    coeffs = heun_coefficients(n, params, xi=0.0)
+    coeffs = heun_coefficients(n, params)
     b0, b1, b2, c1, k0 = coeffs.b0, coeffs.b1, coeffs.b2, coeffs.c1, coeffs.c0
     dim = n + 1
     m = np.zeros((dim, dim))
@@ -454,15 +452,9 @@ def _bethe_jacobian(z: np.ndarray, n: int, a: float, lam: float) -> np.ndarray:
     return jac
 
 
+# wild starts overflow harmlessly before the line search rejects them
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _damped_newton(
-    z0: np.ndarray, n: int, a: float, lam: float
-) -> tuple[np.ndarray, bool, float]:
-    # wild starts overflow harmlessly before the line search rejects them
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _damped_newton_inner(z0, n, a, lam)
-
-
-def _damped_newton_inner(
     z0: np.ndarray, n: int, a: float, lam: float
 ) -> tuple[np.ndarray, bool, float]:
     z = z0.astype(complex).copy()
@@ -547,10 +539,9 @@ def _same_xi(xi: complex, ref: complex) -> bool:
     return abs(xi - ref) <= _XI_MATCH_TOL * max(1.0, abs(ref))
 
 
-def _require_real(value: complex, name: str, tol: float = 1e-9) -> float:
+def _require_real(value: complex, name: str) -> float:
     value = complex(value)
-    scale = max(1.0, abs(value))
-    if abs(value.imag) > tol * scale:
+    if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
         raise ConvergenceError(
             f"{name} has a non-negligible imaginary part: {value!r}"
         )

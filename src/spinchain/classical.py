@@ -133,7 +133,8 @@ def integrate_static(
     """Fixed-step RK4 trajectory of the static Hamilton equations.
 
     Raises DivergenceError (with the z of failure) as soon as any state
-    component exceeds 1e12 in magnitude or stops being finite. The step
+    component exceeds 1e12 in magnitude or stops being finite, and
+    DomainError when the step count cannot be held in memory. The step
     runs on Python floats, one initial condition at a time.
     """
     z0, z1 = float(z_span[0]), float(z_span[1])
@@ -141,14 +142,18 @@ def integrate_static(
         raise DomainError(f"step must be positive, got {step!r}")
     if not z1 > z0:
         raise DomainError("z_span must be increasing")
-    n_steps = int(round((z1 - z0) / step))
-    z_grid = z0 + step * np.arange(n_steps + 1)
+    count = (z1 - z0) / step
+    try:
+        n_steps = int(round(count))
+        z_grid = z0 + step * np.arange(n_steps + 1)
+        states = np.empty((n_steps + 1, 4))
+        h_values = np.empty(n_steps + 1)
+    except (OverflowError, ValueError, MemoryError):  # an infinite or oversized count
+        raise DomainError(f"{count:.6g} RK4 steps cannot be held in memory") from None
 
     a, mub = params.A, params.muB
     half, sixth = 0.5 * step, step / 6.0
     p, q, pp, pq = map(float, (initial.p, initial.q, initial.pi_p, initial.pi_q))
-    states = np.empty((n_steps + 1, 4))
-    h_values = np.empty(n_steps + 1)
     for i in range(n_steps + 1):
         if i:
             a1, b1, c1, d1 = _rhs(p, q, pp, pq, a, mub)

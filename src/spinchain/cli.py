@@ -56,6 +56,11 @@ parameters may be placed in a config file of `key = value` lines
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so it reads -1e3 as a flag
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -399,6 +404,8 @@ def _cmd_roots(args: argparse.Namespace, params: PhysicalParams) -> dict[str, An
 
 def _cmd_mathieu(args: argparse.Namespace, params: None) -> dict[str, Any]:
     nu, q = args.nu, args.q
+    if args.samples < 0:
+        raise DomainError(f"--samples must be non-negative, got {args.samples}")
     if args.samples > 0:
         xs = np.linspace(0.0, 2.0 * np.pi, args.samples, endpoint=False)
         columns = {"x": xs, "ce": mathieu.solve(nu, q, "ce")(xs)}

@@ -171,6 +171,10 @@ def solve(nu: float, q: float, parity: str = "ce") -> MathieuSolutionRecord:
     size = max(_MIN_SIZE, int(2 * abs(nu)) + _MIN_SIZE)
     a_prev = None
     while True:
+        if size > _MAX_SIZE:
+            raise ConvergenceError(
+                f"Mathieu truncation did not converge for nu={nu}, q={q}"
+            )
         freqs, diag, off = _tridiagonal(nu, q, parity, size)
         # eigenvalues of a Jacobi matrix never cross as q moves off 0, so
         # the branch keeps the rank its q = 0 frequency has
@@ -182,10 +186,6 @@ def solve(nu: float, q: float, parity: str = "ce") -> MathieuSolutionRecord:
             break
         a_prev = a_val
         size *= 2
-        if size > _MAX_SIZE:
-            raise ConvergenceError(
-                f"Mathieu truncation did not converge for nu={nu}, q={q}"
-            )
 
     coeffs = eigh_tridiagonal(diag, off, **select)[1][:, 0]
     if _is_integer(nu) and parity == "ce" and round(nu) % 2 == 0:

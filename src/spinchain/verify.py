@@ -22,6 +22,7 @@ from .mathieu import MathieuSolutionRecord
 from .params import PhysicalParams
 
 DEFAULT_RADIAL_GRID = np.logspace(-1.0, 1.0, 101)
+_MATHIEU_GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 RADIAL_TOL = 1e-8
 MATHIEU_TOL = 1e-8
 NLSM_TOL = 1e-8
@@ -39,12 +40,7 @@ class ResidualReport:
 
 
 def radial_residual(
-    n: int,
-    sol: BetheSolution,
-    params: PhysicalParams,
-    r_grid: np.ndarray | None = None,
-    energy: float | None = None,
-    tolerance: float = RADIAL_TOL,
+    n: int, sol: BetheSolution, params: PhysicalParams, energy: float | None = None
 ) -> ResidualReport:
     """Apply the radial operator to the level-n radial factor.
 
@@ -55,19 +51,16 @@ def radial_residual(
              + ((2E/hbar^2 + A/(2 hbar^2)) - 4)/(1+r^2)^2
              - (2A/hbar^2)/(1+r^2)^3 + (2A/hbar^2)/(1+r^2)^4] chi
 
-    with all derivatives analytic. `energy` overrides sol.energy, which is
-    how the negative controls inject a wrong eigenvalue.
+    with all derivatives analytic, on DEFAULT_RADIAL_GRID against RADIAL_TOL.
+    `energy` overrides sol.energy, which is how the negative controls inject
+    a wrong eigenvalue.
     """
-    if r_grid is None:
-        r_grid = DEFAULT_RADIAL_GRID
-    r = np.asarray(r_grid, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("radial grid must stay strictly positive")
     if sol.indices.n != n:
         raise DomainError(f"solution is for n = {sol.indices.n}, not {n}")
     e_val = sol.energy if energy is None else float(energy)
     lam = sol.indices.lambda_n
     hbar2 = params.hbar**2
+    r = DEFAULT_RADIAL_GRID
     d = 1.0 + r * r
 
     chi, chip, chipp = radial_derivatives(n, sol.roots, params, r)
@@ -82,34 +75,23 @@ def radial_residual(
     residual = chipp + coef1 * chip + sum(pieces) * chi
     term_mags = [np.abs(chipp), np.abs(coef1 * chip)]
     term_mags += [np.abs(p * chi) for p in pieces]
-    denom = np.maximum.reduce(term_mags)
-    rel = np.abs(residual) / denom
-    max_rel = float(np.max(rel))
-    return ResidualReport(
-        grid=r,
-        residuals=np.abs(residual),
-        max_rel=max_rel,
-        passed=max_rel < tolerance,
-        tolerance=tolerance,
-    )
+    return _report(r, residual, np.maximum.reduce(term_mags), RADIAL_TOL)
 
 
 def mathieu_residual(
-    record: MathieuSolutionRecord,
-    x_grid: np.ndarray | None = None,
-    a_value: float | None = None,
-    tolerance: float = MATHIEU_TOL,
+    record: MathieuSolutionRecord, a_value: float | None = None
 ) -> ResidualReport:
     """w'' + (a - 2q cos 2x) w from the trigonometric series, exact per mode.
+
+    Evaluated on 64 equispaced points of [0, 2 pi) against MATHIEU_TOL;
+    `a_value` overrides record.a_nu, as `energy` does for radial_residual.
 
     The pointwise denominator is floored at 1e-3 max(1, largest term on the
     grid): where w decays to rounding level, the residual is rounding of
     terms of the size of that largest one, so a fixed floor would fail
     correct large-|q| solutions.
     """
-    if x_grid is None:
-        x_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    x = np.asarray(x_grid, dtype=float)
+    x = _MATHIEU_GRID
     a_val = record.a_nu if a_value is None else float(a_value)
     q = record.problem.q
     w = record(x)
@@ -118,11 +100,18 @@ def mathieu_residual(
     residual = wpp + (a_val - pot) * w
     terms = np.maximum.reduce([np.abs(wpp), np.abs(a_val * w), np.abs(pot * w)])
     denom = np.maximum(terms, 1e-3 * max(1.0, float(np.max(terms))))
-    rel = np.abs(residual) / denom
-    max_rel = float(np.max(rel))
+    return _report(x, residual, denom, MATHIEU_TOL)
+
+
+def _report(
+    grid: np.ndarray, residual: np.ndarray, denom: np.ndarray, tolerance: float
+) -> ResidualReport:
+    """The report of a residual profile, judged on its largest relative value."""
+    residuals = np.abs(residual)
+    max_rel = float(np.max(residuals / denom))
     return ResidualReport(
-        grid=x,
-        residuals=np.abs(residual),
+        grid=grid,
+        residuals=residuals,
         max_rel=max_rel,
         passed=max_rel < tolerance,
         tolerance=tolerance,
@@ -197,16 +186,14 @@ def _fourier_fields(
     return p, q, pz, qz
 
 
-def nlsm_equivalence(
-    samples: int, seed: int, derivative: str = "analytic", fd_step: float = 1e-4
-) -> float:
+def nlsm_equivalence(samples: int, seed: int, derivative: str = "analytic") -> float:
     """Max deviation between the spherical and planar kinetic densities.
 
     Draws `samples` random smooth field paths (finite Fourier sums with
     1/m^2 amplitudes, deterministic from `seed`), maps each to the sphere,
     and compares (1/2)|dS/dz|^2 against 2(P_z^2+Q_z^2)/(1+P^2+Q^2)^2 at one
     random z per path. derivative="fd" replaces the chain-rule tangent by a
-    central difference of step fd_step on the mapped path. All paths go
+    central difference of step 1e-4 on the mapped path. All paths go
     through the column maps and densities of `stereo` at once.
     """
     if samples <= 0:
@@ -220,7 +207,7 @@ def nlsm_equivalence(
     if derivative == "analytic":
         sz = stereo._pushforward(p, q, pz, qz)
     else:
-        h = fd_step
+        h = 1e-4
         s_plus, s_minus = (
             stereo.unproject_array(np.column_stack(_fourier_fields(amps, z + dz)[:2]), at_infinity)
             for dz in (h, -h)
@@ -252,41 +239,22 @@ def run_suite(
         raise DomainError(f"unknown suite {suite!r}")
     if params is None:
         params = PhysicalParams(A=2.0)
-    cases: list[SuiteCase] = []
+    reports: list[tuple[str, ResidualReport]] = []
     if suite in ("radial", "all"):
         for n in (0, 1, 2):
-            for sol in solve_level(n, params):
-                rep = radial_residual(n, sol, params)
-                cases.append(
-                    SuiteCase(
-                        name=f"radial n={n} branch={sol.indices.branch}",
-                        max_residual=rep.max_rel,
-                        tolerance=rep.tolerance,
-                        passed=rep.passed,
-                        report=rep,
-                    )
-                )
+            reports += [
+                (f"radial n={n} branch={sol.indices.branch}", radial_residual(n, sol, params))
+                for sol in solve_level(n, params)
+            ]
     if suite in ("mathieu", "all"):
         for nu, q, parity in ((1.0, 1.0, "ce"), (1.0, 1.0, "se"), (0.5, 1.0, "ce"), (2.0, 5.0, "ce")):
-            rec = _mathieu.solve(nu, q, parity)
-            rep = mathieu_residual(rec)
-            cases.append(
-                SuiteCase(
-                    name=f"mathieu nu={nu:g} q={q:g} {parity}",
-                    max_residual=rep.max_rel,
-                    tolerance=rep.tolerance,
-                    passed=rep.passed,
-                    report=rep,
-                )
-            )
+            rep = mathieu_residual(_mathieu.solve(nu, q, parity))
+            reports.append((f"mathieu nu={nu:g} q={q:g} {parity}", rep))
+    cases = [
+        SuiteCase(name, rep.max_rel, rep.tolerance, rep.passed, report=rep)
+        for name, rep in reports
+    ]
     if suite in ("nlsm", "all"):
         dev = nlsm_equivalence(100, seed)
-        cases.append(
-            SuiteCase(
-                name=f"nlsm seed={seed}",
-                max_residual=dev,
-                tolerance=NLSM_TOL,
-                passed=dev < NLSM_TOL,
-            )
-        )
+        cases.append(SuiteCase(f"nlsm seed={seed}", dev, NLSM_TOL, dev < NLSM_TOL))
     return cases

@@ -113,6 +113,7 @@ def test_heun_coefficients_ground_level():
     c = heun_coefficients(0, A2)
     assert (c.b0, c.b1, c.b2, c.c1) == (1.0, 2.0, -2.0, 0.0)
     assert (c.a0, c.a1, c.a2) == (0.0, 1.0, -1.0)
+    assert c.c0 == 1.0  # the xi-free offset -a(lambda + 1) at lambda = -2, a = 1
 
 
 def test_heun_coefficients_first_level():
@@ -131,12 +132,6 @@ def test_absent_powers_vanish_for_all_levels():
 def test_heun_coefficients_need_positive_anisotropy():
     with pytest.raises(DomainError):
         heun_coefficients(0, make_params(A=0.0))
-
-
-def test_c0_carries_xi_with_unit_slope():
-    base = heun_coefficients(2, A2, xi=0.0)
-    shifted = heun_coefficients(2, A2, xi=1.25)
-    assert shifted.c0 - base.c0 == 1.25
 
 
 # --- roots ----------------------------------------------------------------------

@@ -279,6 +279,10 @@ _MATHIEU_ARGV = st.builds(
 @example(argv=["roots", "--n", "64", "--A", "1e-6"])
 @example(argv=["roots", "--n", "54", "--A", "1e-8"])
 @example(argv=["classical", "--P", "1e80", "--z-span", "0", "0.01", "--step", "0.001"])
+@example(argv=["mathieu", "--nu", "1e300", "--q", "1"])
+@example(argv=["offplane", "--A", "2", "--orders", "1e300"])
+@example(argv=["classical", "--A", "1", "--step", "1e-300"])
+@example(argv=["classical", "--A", "1", "--z-span", "0", "1e300", "--step", "1e-300"])
 def test_wide_inputs_exit_with_a_documented_code(argv):
     """Success, a domain error or a solver error, never a traceback; stdout stays empty on failure."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -287,6 +291,30 @@ def test_wide_inputs_exit_with_a_documented_code(argv):
     assert code in (0, 2, 3)
     if code:
         assert stdout.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["mathieu", "--nu", "1", "--q", "-1e3"], ["mathieu", "--nu", "1", "--q=-1e3"]),
+        (["classical", "--A", "1", "--z-span", "0", "0.003", "--P", "-1e-3"],
+         ["classical", "--A", "1", "--z-span", "0", "0.003", "--P=-1e-3"]),
+        # nargs=2 has no `=` form; the plain decimal spelling parsed before
+        (["classical", "--A", "1", "--z-span", "-1e-3", "0"],
+         ["classical", "--A", "1", "--z-span", "-0.001", "0"]),
+    ],
+    ids=["mathieu-q", "classical-P", "classical-z-span"],
+)
+def test_negative_values_in_scientific_notation_are_values(capsys, spaced, joined):
+    code, out, err = run_cli(capsys, *spaced)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *joined) == (0, out, "")
+
+
+def test_negative_sample_count_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "mathieu", "--nu", "1", "--q", "1", "--samples", "-3")
+    assert (code, out) == (2, "")
+    assert "--samples" in err
 
 
 @pytest.mark.parametrize(
