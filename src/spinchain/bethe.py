@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -75,23 +75,23 @@ _ORDER_TIE_TOL = 1e-12
 class HeunCoefficients:
     """Polynomial coefficients of sum a_j z^j S'' + sum b_j z^j S' + sum c_j z^j S = 0.
 
-    The spin-chain specialization has a0 = a3 = a4 = b3 = c2 = 0, a1 = 1,
-    a2 = -1. The full c0 is xi plus an offset, and xi is unknown until a
-    branch is solved, so c0 here holds only the xi-free offset.
+    The spin-chain specialization fixes the class constants a0 = a3 = a4 =
+    b3 = c2 = 0, a1 = 1, a2 = -1. The full c0 is xi plus an offset, and xi
+    is unknown until a branch is solved, so c0 holds only the xi-free offset.
     """
 
-    a0: float
-    a1: float
-    a2: float
-    a3: float
-    a4: float
+    a0: ClassVar[float] = 0.0
+    a1: ClassVar[float] = 1.0
+    a2: ClassVar[float] = -1.0
+    a3: ClassVar[float] = 0.0
+    a4: ClassVar[float] = 0.0
+    b3: ClassVar[float] = 0.0
+    c2: ClassVar[float] = 0.0
     b0: float
     b1: float
     b2: float
-    b3: float
     c0: float
     c1: float
-    c2: float
 
 
 @dataclass(frozen=True)
@@ -164,24 +164,15 @@ def derive_lambda_from_constraints(n: int) -> float:
 
 def heun_coefficients(n: int, params: PhysicalParams) -> HeunCoefficients:
     """Specialized coefficients for level n; c0 is the xi-free offset."""
-    if n < 0:
-        raise DomainError(f"level index must be non-negative, got {n}")
-    a = params.a
     lam = lambda_n(n)
+    a = params.a
     l = -float(n)
     return HeunCoefficients(
-        a0=0.0,
-        a1=1.0,
-        a2=-1.0,
-        a3=0.0,
-        a4=0.0,
         b0=2.0 * l - lam - 1.0,
         b1=2.0 * (a - l),
         b2=-2.0 * a,
-        b3=0.0,
         c0=-a * (lam + 1.0) - l * (l - 1.0) + 2.0 * l * a,
         c1=-2.0 * l * a,
-        c2=0.0,
     )
 
 
@@ -189,26 +180,26 @@ def bethe_residual(
     n: int, roots: Sequence[complex], params: PhysicalParams
 ) -> float:
     """Max pointwise violation of the Bethe system by a candidate root set."""
-    if len(roots) != n:
-        raise DomainError(f"expected {n} roots, got {len(roots)}")
+    z = _root_array(n, roots)
     if n == 0:
         return 0.0
-    f = _bethe_system(np.asarray(roots, dtype=complex), n, params.a, lambda_n(n))
+    f = _bethe_system(z, n, params.a, lambda_n(n))
     return float(np.max(np.abs(f)))
 
 
 def xi_from_roots(n: int, roots: Sequence[complex], params: PhysicalParams) -> float:
     """Auxiliary spectral parameter xi = a (lambda_n + 1 + 2 sum zeta_i)."""
-    xi = _branch_xi(np.asarray(roots, dtype=complex), params.a, lambda_n(n))
+    xi = _branch_xi(_root_array(n, roots), params.a, lambda_n(n))
     return _require_real(xi, "xi")
 
 
 def energy(n: int, roots: Sequence[complex], params: PhysicalParams) -> float:
     """E_n = -A/4 + 2 hbar^2 + hbar sqrt(2A) [2 sum zeta_i + lambda_n + 1]."""
+    _root_array(n, roots)
     _ = params.a  # validates the easy-plane domain A > 0
     hbar = params.hbar
     coef = hbar * math.sqrt(2.0 * params.A)
-    total = complex(sum(roots)) if len(roots) else 0.0 + 0.0j
+    total = complex(sum(roots))  # Python's left-to-right sum; 0j for no roots
     e = -params.A / 4.0 + 2.0 * hbar**2 + coef * (2.0 * total + lambda_n(n) + 1.0)
     return _require_real(e, "energy")
 
@@ -222,10 +213,8 @@ def energy_from_constraints(
     xi-offset in c0 and inverting xi = E/(2 hbar^2) + a^2/4 - 1 yields E.
     Kept deliberately separate from energy() as a consistency check.
     """
-    if len(roots) != n:
-        raise DomainError(f"expected {n} roots, got {len(roots)}")
+    z = _root_array(n, roots)
     coeffs = heun_coefficients(n, params)
-    z = np.asarray(roots, dtype=complex)
     s1 = z.sum() if n else 0.0 + 0.0j
     s2 = np.sum(z * z) if n else 0.0 + 0.0j
     pair = 0.5 * (s1 * s1 - s2)
@@ -264,8 +253,6 @@ def coefficient_recurrence_solutions(
     entry of an eigenvector can still underflow (n = 64, A = 1e-6): that
     pair carries non-finite coefficients, and `bethe_roots` skips it.
     """
-    if n < 0:
-        raise DomainError(f"level index must be non-negative, got {n}")
     coeffs = heun_coefficients(n, params)
     b0, b1, b2, c1, k0 = coeffs.b0, coeffs.b1, coeffs.b2, coeffs.c1, coeffs.c0
     dim = n + 1
@@ -297,14 +284,14 @@ def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
     recurrence eigenvalues one to one in xi; otherwise
     IncompleteSpectrumError is raised, so the result is always all n + 1
     branches. Every returned set satisfies the Bethe system with residual
-    below 1e-10 and has pairwise-distinct roots.
+    below 1e-10 and has pairwise-distinct roots. Only mu*B = 0 reduces to it.
     """
-    if n < 0:
-        raise DomainError(f"level index must be non-negative, got {n}")
+    lam = lambda_n(n)
+    if params.muB != 0:
+        raise DomainError(f"the Bethe reduction needs mu*B = 0, got {params.muB!r}")
     a = params.a  # raises for A <= 0 before any work
     if n == 0:
         return []
-    lam = lambda_n(n)
     oracle = coefficient_recurrence_solutions(n, params)
     xi_ref = np.array([xi for xi, _ in oracle])
     matched: dict[int, np.ndarray] = {}
@@ -333,7 +320,7 @@ def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
 
 def solve_level(n: int, params: PhysicalParams) -> list[BetheSolution]:
     """Solve every branch of level n and package the spectral data."""
-    root_sets = [()] if n == 0 else bethe_roots(n, params)
+    root_sets = bethe_roots(n, params) or [()]  # level 0 has one, empty, root set
     lam = lambda_n(n)
     out = []
     for k, roots in enumerate(root_sets):
@@ -360,8 +347,6 @@ def eigenfunction_eval(
     """
     if sol.indices.n != n:
         raise DomainError(f"solution is for n = {sol.indices.n}, not {n}")
-    if r <= 0:
-        raise DomainError(f"radial coordinate must be positive, got {r!r}")
     lam = sol.indices.lambda_n
     phase = complex(math.cos(lam * phi), math.sin(lam * phi))
     return phase * complex(radial_factor(n, sol.roots, params, np.array([r]))[0])
@@ -458,7 +443,7 @@ def _damped_newton(
     z0: np.ndarray, n: int, a: float, lam: float
 ) -> tuple[np.ndarray, bool, float]:
     z = z0.astype(complex).copy()
-    if _min_separation(z) < 1e-6 or np.any(np.abs(z) < 1e-6) or np.any(np.abs(z - 1.0) < 1e-6):
+    if _near_pole(z, 1e-6):
         # nudge degenerate seeds off the poles of the system
         z = z + 1e-4 * (1.0 + 1.0j) * (1.0 + np.arange(n))
     f = _bethe_system(z, n, a, lam)
@@ -475,11 +460,7 @@ def _damped_newton(
         t = 1.0
         for _ in range(14):
             z_new = z + t * delta
-            if (
-                _min_separation(z_new) > 1e-14
-                and np.all(np.abs(z_new) > 1e-14)
-                and np.all(np.abs(z_new - 1.0) > 1e-14)
-            ):
+            if not _near_pole(z_new, 1e-14):
                 f_new = _bethe_system(z_new, n, a, lam)
                 norm_new = np.max(np.abs(f_new))
                 if norm_new < (1.0 - 0.25 * t) * norm or norm_new < _NEWTON_TARGET:
@@ -491,9 +472,13 @@ def _damped_newton(
     return z, norm < _NEWTON_TARGET, float(norm)
 
 
+def _near_pole(z: np.ndarray, eps: float) -> bool:
+    """Two roots, or a root and 0 or 1, closer than eps (a NaN is never close)."""
+    return _min_separation(z) < eps or np.any(np.abs(z) < eps) or np.any(np.abs(z - 1.0) < eps)
+
+
 def _min_separation(z: np.ndarray) -> float:
-    if len(z) < 2:
-        return math.inf
+    """Smallest distance between two roots of a non-empty set (inf for one root)."""
     diff = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(diff, math.inf)
     return float(diff.min())
@@ -519,12 +504,12 @@ def _polish(
     z, ok, res = _damped_newton(z0, n, a, lam)
     if not ok:
         return None, res
-    if _min_separation(z) <= DISTINCTNESS_TOL:
+    separation = _min_separation(z)
+    if separation <= DISTINCTNESS_TOL:
         # the ansatz requires distinct roots; a converged collision is
         # not a discardable failure but a degenerate configuration
         raise RootCollisionError(
-            f"converged roots collide (min separation "
-            f"{_min_separation(z):.3e}) for n = {n}"
+            f"converged roots collide (min separation {separation:.3e}) for n = {n}"
         )
     # converged means bethe_residual < _NEWTON_TARGET < RESIDUAL_TOL
     return _canonical_order(z), res
@@ -537,6 +522,13 @@ def _branch_xi(z: np.ndarray, a: float, lam: float) -> complex:
 
 def _same_xi(xi: complex, ref: complex) -> bool:
     return abs(xi - ref) <= _XI_MATCH_TOL * max(1.0, abs(ref))
+
+
+def _root_array(n: int, roots: Sequence[complex]) -> np.ndarray:
+    """The n roots of a level-n root set as a complex array."""
+    if len(roots) != n:
+        raise DomainError(f"expected {n} roots, got {len(roots)}")
+    return np.asarray(roots, dtype=complex)
 
 
 def _require_real(value: complex, name: str) -> float:

@@ -21,7 +21,7 @@ import operator
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -70,8 +70,7 @@ class _Parser(argparse.ArgumentParser):
 # formatting
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".15g")
+_fmt = "%.15g".__mod__  # the one float format: 15 significant digits
 
 
 def _fmt_complex(z: complex) -> str:
@@ -133,10 +132,7 @@ class _Blanked:
 
 
 def _column_cells(values: Any, cell) -> list[str]:
-    """One column's cells: float arrays in bulk, anything else cell by cell.
-
-    '%.15g' gives the same bytes as `_fmt`, so both routes agree on floats.
-    """
+    """One column's cells: float arrays in bulk, anything else cell by cell."""
     if isinstance(values, _Blanked):
         cells = _column_cells(values.values, cell)
         for i in np.flatnonzero(values.blank):
@@ -144,7 +140,7 @@ def _column_cells(values: Any, cell) -> list[str]:
         return cells
     if isinstance(values, np.ndarray):
         if values.dtype.kind == "f":
-            return list(map("%.15g".__mod__, values.tolist()))
+            return list(map(_fmt, values.tolist()))
         values = values.tolist()
     return [cell(v) for v in values]
 
@@ -183,7 +179,7 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_params(args: argparse.Namespace) -> PhysicalParams:
-    values = {"A": 0.0, "B": 0.0, "mu": 1.0, "hbar": 1.0}
+    values = {"A": 0.0}  # B, mu and hbar default as in PhysicalParams
     if args.config:
         values.update(read_params_file(args.config))
     for key in ("A", "B", "mu", "hbar"):
@@ -450,8 +446,9 @@ def _cmd_verify(args: argparse.Namespace, params: PhysicalParams) -> dict[str, A
             "residual": np.concatenate([rep.residuals for _, rep in reports]),
         }
 
-    suite_params = params if args.A is not None or args.config is not None else None
-    cases = verify.run_suite(args.suite, suite_params, seed=args.seed)
+    if args.A is None and args.config is None:
+        params = replace(params, A=2.0)  # the suite's reference anisotropy
+    cases = verify.run_suite(args.suite, params, seed=args.seed)
     if args.out is not None and os.path.isdir(args.out):
         for c in cases:
             if c.report is None:

@@ -159,35 +159,41 @@ def solve(nu: float, q: float, parity: str = "ce") -> MathieuSolutionRecord:
 
     if q == 0.0:
         # exact short circuit: a_nu(0) = nu^2 with a single trigonometric mode
+        a_val = nu * nu
+        if not math.isfinite(a_val):
+            raise ConvergenceError(f"a_nu = nu^2 overflows for nu={nu}, q={q}")
         problem = MathieuProblem(nu=nu, q=q, truncation=1)
         return MathieuSolutionRecord(
             problem=problem,
-            a_nu=float(nu) * float(nu),
+            a_nu=a_val,
             parity=parity,
-            frequencies=np.array([float(nu)]),
+            frequencies=np.array([nu]),
             fourier_coeffs=np.array([1.0]),
         )
 
     size = max(_MIN_SIZE, int(2 * abs(nu)) + _MIN_SIZE)
     a_prev = None
-    while True:
-        if size > _MAX_SIZE:
-            raise ConvergenceError(
-                f"Mathieu truncation did not converge for nu={nu}, q={q}"
-            )
-        freqs, diag, off = _tridiagonal(nu, q, parity, size)
-        # eigenvalues of a Jacobi matrix never cross as q moves off 0, so
-        # the branch keeps the rank its q = 0 frequency has
-        principal = int(np.argmin(np.abs(freqs - nu)))
-        rank = int(np.count_nonzero(np.abs(freqs) < abs(freqs[principal])))
-        select = dict(select="i", select_range=(rank, rank), tol=_BISECTION_TOL)
-        a_val = float(eigh_tridiagonal(diag, off, eigvals_only=True, **select)[0])
-        if a_prev is not None and abs(a_val - a_prev) < _VALUE_TOL * max(1.0, abs(a_val)):
-            break
-        a_prev = a_val
-        size *= 2
+    try:
+        while True:
+            if size > _MAX_SIZE:
+                raise ConvergenceError(
+                    f"Mathieu truncation did not converge for nu={nu}, q={q}"
+                )
+            freqs, diag, off = _tridiagonal(nu, q, parity, size)
+            # eigenvalues of a Jacobi matrix never cross as q moves off 0, so
+            # the branch keeps the rank its q = 0 frequency has
+            principal = int(np.argmin(np.abs(freqs - nu)))
+            rank = int(np.count_nonzero(np.abs(freqs) < abs(freqs[principal])))
+            select = dict(select="i", select_range=(rank, rank), tol=_BISECTION_TOL)
+            a_val = float(eigh_tridiagonal(diag, off, eigvals_only=True, **select)[0])
+            if a_prev is not None and abs(a_val - a_prev) < _VALUE_TOL * max(1.0, abs(a_val)):
+                break
+            a_prev = a_val
+            size *= 2
 
-    coeffs = eigh_tridiagonal(diag, off, **select)[1][:, 0]
+        coeffs = eigh_tridiagonal(diag, off, **select)[1][:, 0]
+    except np.linalg.LinAlgError as exc:  # LAPACK's bisection fails near |q| = 1e300
+        raise ConvergenceError(f"Mathieu eigensolve failed for nu={nu}, q={q}: {exc}") from None
     if _is_integer(nu) and parity == "ce" and round(nu) % 2 == 0:
         coeffs[0] /= math.sqrt(2.0)  # undo the symmetrization scaling
     coeffs = coeffs / float(np.linalg.norm(coeffs))

@@ -39,6 +39,9 @@ class PhysicalParams:
                 raise DomainError(f"{name} must be finite, got {v!r}")
         if self.hbar <= 0:
             raise DomainError(f"hbar must be positive, got {self.hbar!r}")
+        # every formula divides by hbar^2 (Python's float ** raises on overflow)
+        if not 2.0**-1022 <= self.hbar * self.hbar < math.inf:
+            raise DomainError(f"hbar^2 must be a finite normal float, got hbar = {self.hbar!r}")
 
     @property
     def a(self) -> float:
@@ -47,7 +50,10 @@ class PhysicalParams:
             raise DomainError(
                 f"a = sqrt(A/(2 hbar^2)) requires A > 0, got A = {self.A!r}"
             )
-        return math.sqrt(self.A / (2.0 * self.hbar**2))
+        a = math.sqrt(self.A / (2.0 * self.hbar**2))
+        if not math.isfinite(a):
+            raise DomainError(f"a overflows for A = {self.A!r}, hbar = {self.hbar!r}")
+        return a
 
     @property
     def muB(self) -> float:

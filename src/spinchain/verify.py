@@ -134,16 +134,14 @@ def fd_eigs_periodic(q: float, nodes: int, count: int) -> np.ndarray:
     h = 2.0 * np.pi / nodes
     x = h * np.arange(nodes)
     main = 2.0 / h**2 + 2.0 * q * np.cos(2.0 * x)
+    off = np.full(nodes - 1, -1.0 / h**2)
+    corner = off[:1]  # the periodic wrap couples node 0 and node nodes - 1
     mat = sparse.diags(
-        [main, np.full(nodes - 1, -1.0 / h**2), np.full(nodes - 1, -1.0 / h**2)],
-        [0, -1, 1],
-        format="lil",
+        [main, off, off, corner, corner], [0, -1, 1, 1 - nodes, nodes - 1], format="csr"
     )
-    mat[0, nodes - 1] = -1.0 / h**2
-    mat[nodes - 1, 0] = -1.0 / h**2
     # shift below the spectrum (>= -2|q|) so shift-invert targets the bottom
     sigma = -2.0 * abs(q) - 1.0
-    vals = eigsh(mat.tocsr(), k=count, sigma=sigma, which="LM", return_eigenvectors=False)
+    vals = eigsh(mat, k=count, sigma=sigma, which="LM", return_eigenvectors=False)
     return np.sort(vals)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from spinchain import bethe, verify
 from spinchain.bethe import (
     RESIDUAL_TOL,
+    HeunCoefficients,
     bethe_residual,
     bethe_roots,
     coefficient_recurrence_solutions,
@@ -132,6 +134,14 @@ def test_absent_powers_vanish_for_all_levels():
 def test_heun_coefficients_need_positive_anisotropy():
     with pytest.raises(DomainError):
         heun_coefficients(0, make_params(A=0.0))
+
+
+def test_only_the_level_dependent_coefficients_are_stored():
+    stored = [f.name for f in dataclasses.fields(HeunCoefficients)]
+    assert stored == ["b0", "b1", "b2", "c0", "c1"]
+    fixed = (HeunCoefficients.a0, HeunCoefficients.a1, HeunCoefficients.a2,
+             HeunCoefficients.a3, HeunCoefficients.a4, HeunCoefficients.b3, HeunCoefficients.c2)
+    assert fixed == (0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 # --- roots ----------------------------------------------------------------------
@@ -273,6 +283,23 @@ def test_failed_branch_raises_incomplete_spectrum(monkeypatch, capsys):
 def test_bethe_roots_requires_easy_plane():
     with pytest.raises(DomainError):
         bethe_roots(1, make_params(A=-1.0))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_bethe_solve_requires_zero_field(n):
+    """The reduction to the Bethe system holds only at mu*B = 0."""
+    field = make_params(A=2.0, B=5.0)
+    with pytest.raises(DomainError, match="mu\\*B"):
+        bethe_roots(n, field)
+    with pytest.raises(DomainError, match="mu\\*B"):
+        solve_level(n, field)
+
+
+@pytest.mark.parametrize("function", [energy, xi_from_roots])
+@pytest.mark.parametrize("n, roots", [(1, []), (2, [0.1]), (0, [0.5])])
+def test_root_count_must_match_level(function, n, roots):
+    with pytest.raises(DomainError, match=f"expected {n} roots, got {len(roots)}"):
+        function(n, roots, A2)
 
 
 # --- energies -------------------------------------------------------------------

@@ -264,18 +264,30 @@ _CLASSICAL_ARGV = st.builds(
 _ROOTS_ARGV = st.builds(
     lambda n, e: ["roots", "--n", str(n), f"--A={10.0**e!r}"],
     st.integers(0, 12),
-    st.floats(-8, 6),
+    st.floats(-8, 308),
 )
 _MATHIEU_ARGV = st.builds(
     lambda nu, q, parity: ["mathieu", f"--nu={nu!r}", f"--q={q!r}", "--parity", parity],
     st.floats(0, 20),
-    _signed_power_of_ten(-3, 5),
+    _signed_power_of_ten(-3, 308),
     st.sampled_from(["ce", "se"]),
+)
+# every command with the parameter flags, over the whole accepted range of hbar and beyond
+_HBAR_ARGV = st.builds(
+    lambda argv, a, hbar: argv + [f"--A={10.0**a!r}", f"--hbar={10.0**hbar!r}"],
+    st.sampled_from([
+        ["spectrum", "--max-n", "2"],
+        ["verify", "--n", "1"],
+        ["offplane", "--orders", "0..2"],
+        ["inplane", "--B", "1", "--orders", "0..2"],
+    ]),
+    st.floats(-8, 6),
+    st.floats(-200, 200),
 )
 
 
 @settings(max_examples=100, deadline=None)
-@given(argv=st.one_of(_CLASSICAL_ARGV, _ROOTS_ARGV, _MATHIEU_ARGV))
+@given(argv=st.one_of(_CLASSICAL_ARGV, _ROOTS_ARGV, _MATHIEU_ARGV, _HBAR_ARGV))
 @example(argv=["roots", "--n", "64", "--A", "1e-6"])
 @example(argv=["roots", "--n", "54", "--A", "1e-8"])
 @example(argv=["classical", "--P", "1e80", "--z-span", "0", "0.01", "--step", "0.001"])
@@ -283,6 +295,14 @@ _MATHIEU_ARGV = st.builds(
 @example(argv=["offplane", "--A", "2", "--orders", "1e300"])
 @example(argv=["classical", "--A", "1", "--step", "1e-300"])
 @example(argv=["classical", "--A", "1", "--z-span", "0", "1e300", "--step", "1e-300"])
+@example(argv=["roots", "--n", "1", "--A", "1", "--hbar", "1e200"])
+@example(argv=["offplane", "--A", "1", "--hbar", "1e200", "--orders", "0"])
+@example(argv=["inplane", "--B", "1", "--hbar", "1e200", "--orders", "0"])
+@example(argv=["roots", "--n", "1", "--A", "1", "--hbar", "1e-200"])
+@example(argv=["verify", "--n", "0", "--A", "1", "--hbar", "1e-200"])
+@example(argv=["roots", "--n", "2", "--A", "1e300", "--hbar", "1e-100"])
+@example(argv=["mathieu", "--nu", "1", "--q", "1e300"])
+@example(argv=["offplane", "--A", "1e300", "--orders", "0"])
 def test_wide_inputs_exit_with_a_documented_code(argv):
     """Success, a domain error or a solver error, never a traceback; stdout stays empty on failure."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -309,6 +329,24 @@ def test_negative_values_in_scientific_notation_are_values(capsys, spaced, joine
     code, out, err = run_cli(capsys, *spaced)
     assert (code, err) == (0, "")
     assert run_cli(capsys, *joined) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["mathieu", "--nu", "1e200", "--q", "0"], 3),
+        (["inplane", "--B", "0", "--orders", "1e300"], 3),
+        (["roots", "--n", "1", "--A", "2", "--B", "5"], 2),
+        (["spectrum", "--max-n", "2", "--A", "2", "--B", "5"], 2),
+        (["verify", "--n", "1", "--A", "2", "--B", "5"], 2),
+        (["verify", "--suite", "radial", "--B", "1"], 2),
+    ],
+    ids=["mathieu-nu-squared", "inplane-nu-squared", "roots-field", "spectrum-field",
+         "verify-level-field", "verify-suite-field"],
+)
+def test_inputs_without_a_valid_table_print_none(capsys, argv, code):
+    """An overflowing nu^2 is a solver error; a Bethe level at mu*B != 0 is a domain error."""
+    assert run_cli(capsys, *argv)[:2] == (code, "")
 
 
 def test_negative_sample_count_is_a_domain_error(capsys):
@@ -398,6 +436,14 @@ def test_verify_all_suites(capsys):
     assert code == 0
     rows = parse_csv(out)
     assert all(r["passed"] == "true" for r in rows)
+
+
+def test_verify_suite_keeps_the_physical_flags(capsys):
+    """Without --A the suite runs at A = 2, with the user's hbar."""
+    code, out, _ = run_cli(capsys, "verify", "--suite", "radial", "--hbar", "2")
+    assert code == 0
+    assert run_cli(capsys, "verify", "--suite", "radial", "--hbar", "2", "--A", "2") == (0, out, "")
+    assert run_cli(capsys, "verify", "--suite", "radial")[1] != out
 
 
 def test_verify_residual_profile(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 from scipy.linalg import eigh_tridiagonal
 
-from spinchain.errors import DomainError
+from spinchain.errors import ConvergenceError, DomainError
 from spinchain.mathieu import (
     _tridiagonal,
     characteristic_value,
@@ -176,6 +176,15 @@ def test_invalid_orders_rejected():
         characteristic_value(1.0, 1.0, "foo")
     with pytest.raises(DomainError):
         characteristic_value(float("nan"), 1.0)
+
+
+@pytest.mark.parametrize(
+    "nu, q", [(1e200, 0.0), (1e300, 0.0), (1.0, 1e300), (0.0, -3.125e298)]
+)
+def test_overflowing_problems_are_solver_errors(nu, q):
+    """An overflowing nu^2, or a q LAPACK cannot bisect, is a solver error, not inf or a traceback."""
+    with pytest.raises(ConvergenceError):
+        characteristic_value(nu, q)
 
 
 # --- eigenfunctions -------------------------------------------------------------

@@ -33,6 +33,18 @@ def test_invalid_hbar_rejected():
         make_params(A=float("nan"))
 
 
+@pytest.mark.parametrize("hbar", [1e200, 1.5e154, 1e-200, 1e-160])
+def test_hbar_squared_must_be_a_finite_normal_float(hbar):
+    with pytest.raises(DomainError, match="hbar\\^2"):
+        make_params(A=1.0, hbar=hbar)
+
+
+def test_non_finite_a_is_a_domain_error():
+    p = make_params(A=1e300, hbar=1e-100)
+    with pytest.raises(DomainError, match="overflows"):
+        _ = p.a
+
+
 # magnitudes kept in the normal floating-point range: the 1e-15 relative
 # round-trip bound cannot survive subnormal underflow of the quotients
 positive = st.floats(min_value=1e-8, max_value=1e8)
