@@ -349,18 +349,8 @@ def eigenfunction_eval(
         raise DomainError(f"solution is for n = {sol.indices.n}, not {n}")
     lam = sol.indices.lambda_n
     phase = complex(math.cos(lam * phi), math.sin(lam * phi))
-    return phase * complex(radial_factor(n, sol.roots, params, np.array([r]))[0])
-
-
-def radial_factor(
-    n: int,
-    roots: Sequence[complex],
-    params: PhysicalParams,
-    r: np.ndarray,
-) -> np.ndarray:
-    """Radial part chi(r) of the level-n eigenfunction on an array of r > 0."""
-    chi, _, _ = radial_derivatives(n, roots, params, r)
-    return chi
+    chi, _, _ = radial_derivatives(n, sol.roots, params, np.array([r]))
+    return phase * complex(chi[0])
 
 
 def radial_derivatives(
@@ -533,7 +523,10 @@ def _root_array(n: int, roots: Sequence[complex]) -> np.ndarray:
 
 def _require_real(value: complex, name: str) -> float:
     value = complex(value)
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
+    size = abs(value)
+    if not math.isfinite(size):  # e.g. 2 hbar^2 overflows although hbar^2 does not
+        raise ConvergenceError(f"{name} is not finite: {value!r}")
+    if abs(value.imag) > 1e-9 * max(1.0, size):
         raise ConvergenceError(
             f"{name} has a non-negligible imaginary part: {value!r}"
         )

@@ -38,9 +38,6 @@ class FieldState:
         if not all(map(math.isfinite, (self.p, self.q, self.pi_p, self.pi_q))):
             raise DomainError("field state must be finite")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p, self.q, self.pi_p, self.pi_q], dtype=float)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -52,11 +49,6 @@ class Trajectory:
     z_grid: np.ndarray
     state_array: np.ndarray
     h_values: np.ndarray
-
-    @property
-    def states(self) -> list[FieldState]:
-        """The rows of `state_array` as FieldState records, built on access."""
-        return [FieldState(*row) for row in self.state_array.tolist()]
 
     def energy_drift(self) -> float:
         h0 = self.h_values[0]

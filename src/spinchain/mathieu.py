@@ -236,10 +236,10 @@ def offplane_spectrum(
     """
     q = params.q_offplane
     h2 = params.hbar**2
-    return [
+    return _finite_energies([
         (float(nu), -params.A / 8.0 + 2.0 * h2 * characteristic_value(nu, q, parity))
         for nu in orders
-    ]
+    ])
 
 
 def inplane_spectrum(
@@ -252,9 +252,17 @@ def inplane_spectrum(
     """
     q = params.q_inplane
     h2 = params.hbar**2
-    return [
+    return _finite_energies([
         (float(nu), 0.5 * h2 * characteristic_value(nu, q, parity)) for nu in orders
-    ]
+    ])
+
+
+def _finite_energies(rows: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The (nu, E) rows unchanged, or ConvergenceError naming the first E that overflowed."""
+    for nu, e in rows:
+        if not math.isfinite(e):
+            raise ConvergenceError(f"energy of order nu={nu:g} is not finite: {e!r}")
+    return rows
 
 
 def theta_from_field(p: float) -> float:

@@ -14,9 +14,9 @@ the static energy functional:
     (sphere)   (1/2) |dS/dz|^2
     (plane)    2 (P_z^2 + Q_z^2) / (1 + P^2 + Q^2)^2
 
-Every formula is written once, on columns (`project_array`,
-`unproject_array` and the private kernels); the point-typed functions send
-one row through it.
+Every formula is written once, on columns: `project_array`,
+`unproject_array`, `pushforward`, `tangent_part` and the two densities.
+`project` and `unproject` send one point through the column maps.
 """
 
 from __future__ import annotations
@@ -79,11 +79,6 @@ class ComplexFieldPoint:
             math.isfinite(self.p) and math.isfinite(self.q)
         ):
             raise DomainError("finite field point requires finite (P, Q)")
-
-    def as_complex(self) -> complex:
-        if self.at_infinity:
-            raise DomainError("point at infinity has no complex value")
-        return complex(self.p, self.q)
 
 
 POINT_AT_INFINITY = ComplexFieldPoint(0.0, 0.0, at_infinity=True)
@@ -156,14 +151,7 @@ def unproject_array(w: np.ndarray, at_infinity: np.ndarray) -> np.ndarray:
     return s
 
 
-def _finite_point_columns(w: ComplexFieldPoint, pz: float, qz: float, what: str) -> np.ndarray:
-    """(P, Q, P_z, Q_z) of one finite point as four (1,) columns."""
-    if w.at_infinity:
-        raise DomainError(f"{what} is undefined at the point at infinity")
-    return np.array([[w.p, w.q, pz, qz]], dtype=float).T
-
-
-def _pushforward(p: np.ndarray, q: np.ndarray, pz: np.ndarray, qz: np.ndarray) -> np.ndarray:
+def pushforward(p: np.ndarray, q: np.ndarray, pz: np.ndarray, qz: np.ndarray) -> np.ndarray:
     """(N, 3) dS/dz of the paths S = unproject(P, Q), by the chain rule."""
     u = p * p + q * q
     d = 1.0 + u
@@ -174,40 +162,23 @@ def _pushforward(p: np.ndarray, q: np.ndarray, pz: np.ndarray, qz: np.ndarray) -
     return np.column_stack([ds1, ds2, ds3])
 
 
-def tangent_pushforward(
-    w: ComplexFieldPoint, pz: float, qz: float
-) -> tuple[float, float, float]:
-    """dS/dz for the path S(z) = unproject(P(z), Q(z)), by the chain rule."""
-    return tuple(_pushforward(*_finite_point_columns(w, pz, qz, "pushforward"))[0].tolist())
-
-
-def _density_plane(p: np.ndarray, q: np.ndarray, pz: np.ndarray, qz: np.ndarray) -> np.ndarray:
+def density_plane(p: np.ndarray, q: np.ndarray, pz: np.ndarray, qz: np.ndarray) -> np.ndarray:
+    """2 (P_z^2 + Q_z^2) / (1 + P^2 + Q^2)^2 per path."""
     d = 1.0 + p * p + q * q
     return 2.0 * (pz * pz + qz * qz) / (d * d)
 
 
-def kinetic_density_complex(w: ComplexFieldPoint, pz: float, qz: float) -> float:
-    """2 (P_z^2 + Q_z^2) / (1 + P^2 + Q^2)^2."""
-    return float(_density_plane(*_finite_point_columns(w, pz, qz, "kinetic density"))[0])
-
-
-def _tangent_part(s: np.ndarray, sz: np.ndarray) -> np.ndarray:
-    return sz - _dot(s, sz)[:, None] * s
-
-
-def project_tangent(
-    s: SpinPoint, sz: tuple[float, float, float]
-) -> tuple[float, float, float]:
-    """Remove the radial component of a derivative estimate.
+def tangent_part(s: np.ndarray, sz: np.ndarray) -> np.ndarray:
+    """Remove the radial component of each row of a derivative estimate.
 
     Finite-difference derivatives of a spherical path pick up an O(h^2)
     normal component; stripping it restores the tangency contract of
-    kinetic_density_sphere while changing the density only at O(h^4).
+    density_sphere while changing the density only at O(h^4).
     """
-    return tuple(_tangent_part(np.array([s.as_tuple()]), np.array([sz], dtype=float))[0].tolist())
+    return sz - _dot(s, sz)[:, None] * s
 
 
-def _density_sphere(s: np.ndarray, sz: np.ndarray) -> np.ndarray:
+def density_sphere(s: np.ndarray, sz: np.ndarray) -> np.ndarray:
     """(1/2) |S_z|^2 per row; ConstraintViolationError names the first non-tangent row."""
     dot = _dot(s, sz)
     sq = _dot(sz, sz)
@@ -218,10 +189,3 @@ def _density_sphere(s: np.ndarray, sz: np.ndarray) -> np.ndarray:
             f"row {i}: derivative not tangent to the sphere: S . S_z = {float(dot[i])!r}"
         )
     return 0.5 * sq
-
-
-def kinetic_density_sphere(
-    s: SpinPoint, sz: tuple[float, float, float]
-) -> float:
-    """(1/2) |dS/dz|^2 for a derivative tangent to the sphere."""
-    return float(_density_sphere(np.array([s.as_tuple()]), np.array([sz], dtype=float))[0])

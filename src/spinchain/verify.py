@@ -17,7 +17,7 @@ import numpy as np
 from . import mathieu as _mathieu
 from . import stereo
 from .bethe import BetheSolution, radial_derivatives, solve_level
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .mathieu import MathieuSolutionRecord
 from .params import PhysicalParams
 
@@ -53,7 +53,8 @@ def radial_residual(
 
     with all derivatives analytic, on DEFAULT_RADIAL_GRID against RADIAL_TOL.
     `energy` overrides sol.energy, which is how the negative controls inject
-    a wrong eigenvalue.
+    a wrong eigenvalue. A residual that is not finite, as where e^{a/(1+r^2)}
+    overflows for large a, raises ConvergenceError.
     """
     if sol.indices.n != n:
         raise DomainError(f"solution is for n = {sol.indices.n}, not {n}")
@@ -63,18 +64,24 @@ def radial_residual(
     r = DEFAULT_RADIAL_GRID
     d = 1.0 + r * r
 
-    chi, chip, chipp = radial_derivatives(n, sol.roots, params, r)
-    coef1 = 4.0 * r / d + 1.0 / r
-    pieces = (
-        -(lam * lam) / (r * r),
-        8.0 / d,
-        ((2.0 * e_val / hbar2 + params.A / (2.0 * hbar2)) - 4.0) / d**2,
-        -(2.0 * params.A / hbar2) / d**3,
-        (2.0 * params.A / hbar2) / d**4,
-    )
-    residual = chipp + coef1 * chip + sum(pieces) * chi
-    term_mags = [np.abs(chipp), np.abs(coef1 * chip)]
-    term_mags += [np.abs(p * chi) for p in pieces]
+    with np.errstate(over="ignore", invalid="ignore"):
+        chi, chip, chipp = radial_derivatives(n, sol.roots, params, r)
+        coef1 = 4.0 * r / d + 1.0 / r
+        pieces = (
+            -(lam * lam) / (r * r),
+            8.0 / d,
+            ((2.0 * e_val / hbar2 + params.A / (2.0 * hbar2)) - 4.0) / d**2,
+            -(2.0 * params.A / hbar2) / d**3,
+            (2.0 * params.A / hbar2) / d**4,
+        )
+        residual = chipp + coef1 * chip + sum(pieces) * chi
+        term_mags = [np.abs(chipp), np.abs(coef1 * chip)]
+        term_mags += [np.abs(p * chi) for p in pieces]
+    bad = np.flatnonzero(~np.isfinite(residual))
+    if bad.size:
+        raise ConvergenceError(
+            f"radial residual of level n = {n} is not finite at r = {float(r[bad[0]]):.6g}"
+        )
     return _report(r, residual, np.maximum.reduce(term_mags), RADIAL_TOL)
 
 
@@ -141,7 +148,10 @@ def fd_eigs_periodic(q: float, nodes: int, count: int) -> np.ndarray:
     )
     # shift below the spectrum (>= -2|q|) so shift-invert targets the bottom
     sigma = -2.0 * abs(q) - 1.0
-    vals = eigsh(mat, k=count, sigma=sigma, which="LM", return_eigenvectors=False)
+    # a fixed start vector: ARPACK's default one is random
+    vals = eigsh(
+        mat, k=count, sigma=sigma, which="LM", v0=np.ones(nodes), return_eigenvectors=False
+    )
     return np.sort(vals)
 
 
@@ -203,16 +213,16 @@ def nlsm_equivalence(samples: int, seed: int, derivative: str = "analytic") -> f
     at_infinity = np.zeros(samples, dtype=bool)
     s = stereo.unproject_array(np.column_stack([p, q]), at_infinity)
     if derivative == "analytic":
-        sz = stereo._pushforward(p, q, pz, qz)
+        sz = stereo.pushforward(p, q, pz, qz)
     else:
         h = 1e-4
         s_plus, s_minus = (
             stereo.unproject_array(np.column_stack(_fourier_fields(amps, z + dz)[:2]), at_infinity)
             for dz in (h, -h)
         )
-        sz = stereo._tangent_part(s, (s_plus - s_minus) / (2.0 * h))
-    k_sphere = stereo._density_sphere(s, sz)
-    k_plane = stereo._density_plane(p, q, pz, qz)
+        sz = stereo.tangent_part(s, (s_plus - s_minus) / (2.0 * h))
+    k_sphere = stereo.density_sphere(s, sz)
+    k_plane = stereo.density_plane(p, q, pz, qz)
     return float(np.max(np.abs(k_sphere - k_plane)))
 
 
@@ -229,14 +239,10 @@ class SuiteCase:
     report: ResidualReport | None = None
 
 
-def run_suite(
-    suite: str, params: PhysicalParams | None = None, seed: int = 42
-) -> list[SuiteCase]:
+def run_suite(suite: str, params: PhysicalParams, seed: int = 42) -> list[SuiteCase]:
     """Run the named verification suite (radial, mathieu, nlsm, or all)."""
     if suite not in ("radial", "mathieu", "nlsm", "all"):
         raise DomainError(f"unknown suite {suite!r}")
-    if params is None:
-        params = PhysicalParams(A=2.0)
     reports: list[tuple[str, ResidualReport]] = []
     if suite in ("radial", "all"):
         for n in (0, 1, 2):

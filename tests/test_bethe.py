@@ -22,12 +22,17 @@ from spinchain.bethe import (
     l_branches,
     lambda_n,
     lambda_n_exact,
-    radial_factor,
+    radial_derivatives,
     solve_level,
     xi_from_roots,
 )
 from spinchain.cli import main
-from spinchain.errors import ComplexBranchError, DomainError, IncompleteSpectrumError
+from spinchain.errors import (
+    ComplexBranchError,
+    ConvergenceError,
+    DomainError,
+    IncompleteSpectrumError,
+)
 from spinchain.params import make_params
 
 A2 = make_params(A=2.0)  # a = 1
@@ -305,6 +310,12 @@ def test_root_count_must_match_level(function, n, roots):
 # --- energies -------------------------------------------------------------------
 
 
+def test_overflowing_energy_is_a_solver_error():
+    # hbar^2 is a finite double, 2 hbar^2 is not
+    with pytest.raises(ConvergenceError, match="energy is not finite"):
+        solve_level(0, make_params(A=1.0, hbar=1.2e154))
+
+
 def test_ground_state_energy_closed_form():
     # -A/4 + 2 hbar^2 - hbar sqrt(2A) at A=2, hbar=1
     assert energy(0, [], A2) == pytest.approx(-0.5, abs=1e-12)
@@ -441,6 +452,6 @@ def test_transformation_reproduces_radial_factor():
             lam = lambda_n(n)
             prefactor = r**lam * (1.0 + r * r) ** n * np.exp(A2.a * zeta)
             chi_ref = prefactor * s_val
-            chi = radial_factor(n, sol.roots, A2, r)
+            chi, _, _ = radial_derivatives(n, sol.roots, A2, r)
             scale = np.abs(prefactor) * (1.0 + np.abs(s_val))
             assert np.max(np.abs(chi - chi_ref) / scale) < 1e-10

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -303,14 +304,22 @@ _HBAR_ARGV = st.builds(
 @example(argv=["roots", "--n", "2", "--A", "1e300", "--hbar", "1e-100"])
 @example(argv=["mathieu", "--nu", "1", "--q", "1e300"])
 @example(argv=["offplane", "--A", "1e300", "--orders", "0"])
+@example(argv=["roots", "--n", "0", "--A", "1", "--hbar", "1.2e154"])
+@example(argv=["spectrum", "--max-n", "0", "--A", "1", "--hbar", "1.2e154"])
+@example(argv=["offplane", "--A", "1", "--hbar", "1.3e154", "--orders", "1"])
+@example(argv=["verify", "--n", "0", "--A", "1e6", "--hbar", "1e-3"])
+@example(argv=["verify", "--n", "1", "--A", "9.9e-8", "--hbar", "9.9e-8"])
 def test_wide_inputs_exit_with_a_documented_code(argv):
-    """Success, a domain error or a solver error, never a traceback; stdout stays empty on failure."""
+    """Success, a domain error or a solver error, never a traceback; stdout stays empty on
+    failure, and a table printed on success has no inf or nan cell."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     assert code in (0, 2, 3)
     if code:
         assert stdout.getvalue() == ""
+    else:
+        assert re.search(r"\b(inf|nan)", stdout.getvalue()) is None
 
 
 @pytest.mark.parametrize(

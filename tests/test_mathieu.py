@@ -187,6 +187,19 @@ def test_overflowing_problems_are_solver_errors(nu, q):
         characteristic_value(nu, q)
 
 
+@pytest.mark.parametrize(
+    "spectrum, params, nu",
+    [
+        (offplane_spectrum, make_params(A=1.0, hbar=1.3e154), 1.0),
+        (inplane_spectrum, make_params(A=0.0, B=1.0, hbar=1.3e154), 2.0),
+    ],
+)
+def test_overflowing_energies_are_solver_errors(spectrum, params, nu):
+    """A finite a_nu times hbar^2 can still overflow; that is a solver error, not inf."""
+    with pytest.raises(ConvergenceError, match=f"order nu={nu:g} is not finite"):
+        spectrum(params, [nu])
+
+
 # --- eigenfunctions -------------------------------------------------------------
 
 

@@ -8,19 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spinchain import stereo
 from spinchain.cli import main
 from spinchain.errors import ConstraintViolationError, DomainError
 from spinchain.stereo import (
     POINT_AT_INFINITY,
     ComplexFieldPoint,
     SpinPoint,
-    kinetic_density_complex,
-    kinetic_density_sphere,
+    density_plane,
+    density_sphere,
     project,
     project_array,
-    project_tangent,
-    tangent_pushforward,
+    pushforward,
+    tangent_part,
     unproject,
     unproject_array,
 )
@@ -247,23 +246,33 @@ def test_batch_rejects_non_unit_and_nan_spin_rows(index, bad):
 # --- kinetic densities -------------------------------------------------------
 
 
+def _col(x):
+    """One value as a (1,) column."""
+    return np.array([x], dtype=float)
+
+
+def _row(v):
+    """One vector as a (1, 3) array."""
+    return np.array([v], dtype=float)
+
+
 def test_kinetic_complex_examples():
-    assert kinetic_density_complex(ComplexFieldPoint(0.0, 0.0), 1.0, 0.0) == 2.0
-    assert kinetic_density_complex(ComplexFieldPoint(1.0, 0.0), 1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert kinetic_density_complex(ComplexFieldPoint(0.3, -2.0), 0.0, 0.0) == 0.0
+    assert density_plane(_col(0.0), _col(0.0), _col(1.0), _col(0.0))[0] == 2.0
+    assert density_plane(_col(1.0), _col(0.0), _col(1.0), _col(1.0))[0] == pytest.approx(1.0, abs=1e-15)
+    assert density_plane(_col(0.3), _col(-2.0), _col(0.0), _col(0.0))[0] == 0.0
 
 
 def test_kinetic_sphere_examples():
-    assert kinetic_density_sphere(SpinPoint(0.0, 0.0, 1.0), (0.0, 0.0, 0.0)) == 0.0
-    assert kinetic_density_sphere(SpinPoint(0.0, 0.0, 1.0), (2.0, 0.0, 0.0)) == 2.0
+    assert density_sphere(_row((0.0, 0.0, 1.0)), _row((0.0, 0.0, 0.0)))[0] == 0.0
+    assert density_sphere(_row((0.0, 0.0, 1.0)), _row((2.0, 0.0, 0.0)))[0] == 2.0
 
 
 def test_kinetic_sphere_rejects_non_tangent_derivative():
     with pytest.raises(ConstraintViolationError):
-        kinetic_density_sphere(SpinPoint(0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
+        density_sphere(_row((0.0, 0.0, 1.0)), _row((0.0, 0.0, 1.0)))
     north = np.array([[0.0, 0.0, 1.0]] * 3)
     with pytest.raises(ConstraintViolationError, match="row 1"):
-        stereo._density_sphere(north, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]))
+        density_sphere(north, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]))
 
 
 @settings(max_examples=200)
@@ -275,10 +284,10 @@ def test_kinetic_sphere_rejects_non_tangent_derivative():
 )
 def test_kinetic_equivalence_pointwise(p, q, pz, qz):
     """Chain-rule tangent makes the two densities agree identically."""
-    w = ComplexFieldPoint(p, q)
-    sz = tangent_pushforward(w, pz, qz)
-    k_sphere = kinetic_density_sphere(unproject(w), sz)
-    k_plane = kinetic_density_complex(w, pz, qz)
+    sz = pushforward(_col(p), _col(q), _col(pz), _col(qz))
+    s = _row(unproject(ComplexFieldPoint(p, q)).as_tuple())
+    k_sphere = density_sphere(s, sz)[0]
+    k_plane = density_plane(_col(p), _col(q), _col(pz), _col(qz))[0]
     assert abs(k_sphere - k_plane) < 1e-8
 
 
@@ -306,11 +315,11 @@ def test_kinetic_equivalence_finite_difference():
         pm, qm, _, _ = fields(z - h)
         s_plus = unproject(ComplexFieldPoint(pp, qp)).as_tuple()
         s_minus = unproject(ComplexFieldPoint(pm, qm)).as_tuple()
-        s_here = unproject(ComplexFieldPoint(p, q))
-        sz = tuple((a - b) / (2 * h) for a, b in zip(s_plus, s_minus))
-        sz = project_tangent(s_here, sz)
-        k_sphere = kinetic_density_sphere(s_here, sz)
-        k_plane = kinetic_density_complex(ComplexFieldPoint(p, q), pz, qz)
+        s_here = _row(unproject(ComplexFieldPoint(p, q)).as_tuple())
+        sz = _row([(a - b) / (2 * h) for a, b in zip(s_plus, s_minus)])
+        sz = tangent_part(s_here, sz)
+        k_sphere = density_sphere(s_here, sz)[0]
+        k_plane = density_plane(_col(p), _col(q), _col(pz), _col(qz))[0]
         worst = max(worst, abs(k_sphere - k_plane))
     assert worst < 1e-6
 
@@ -319,13 +328,7 @@ def test_pushforward_is_tangent():
     rng = np.random.default_rng(11)
     for _ in range(50):
         p, q, pz, qz = rng.normal(size=4) * 2.0
-        w = ComplexFieldPoint(p, q)
-        s = unproject(w)
-        sz = tangent_pushforward(w, pz, qz)
+        s = unproject(ComplexFieldPoint(p, q))
+        sz = pushforward(_col(p), _col(q), _col(pz), _col(qz))[0]
         dot = s.s1 * sz[0] + s.s2 * sz[1] + s.s3 * sz[2]
         assert abs(dot) < 1e-12 * max(1.0, math.sqrt(sum(c * c for c in sz)))
-
-
-def test_pushforward_undefined_at_infinity():
-    with pytest.raises(DomainError):
-        tangent_pushforward(POINT_AT_INFINITY, 1.0, 0.0)

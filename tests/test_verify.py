@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from spinchain import stereo
-from spinchain.bethe import radial_factor, solve_level
-from spinchain.errors import DomainError
+from spinchain.bethe import radial_derivatives, solve_level
+from spinchain.errors import ConvergenceError, DomainError
 from spinchain.mathieu import characteristic_value, solve
 from spinchain.params import make_params
 from spinchain.verify import (
@@ -44,13 +44,23 @@ def test_wrong_energy_is_loud():
 def test_radial_grid_must_avoid_origin():
     # radial_residual runs on its fixed grid; the check lives in bethe.radial_derivatives
     with pytest.raises(DomainError):
-        radial_factor(0, (), A2, np.array([0.0, 0.5]))
+        radial_derivatives(0, (), A2, np.array([0.0, 0.5]))
 
 
 def test_higher_levels_pass_on_default_grid():
     for n in (2, 3):
         for sol in solve_level(n, A2):
             assert radial_residual(n, sol, A2).max_rel < 1e-8
+
+
+@pytest.mark.parametrize("n, A, hbar", [(0, 1e6, 1e-3), (1, 9.9e-8, 9.9e-8)])
+def test_overflowing_radial_factor_is_a_solver_error(n, A, hbar):
+    # e^{a/(1+r^2)} overflows on the inner part of the grid, from its first point on
+    params = make_params(A=A, hbar=hbar)
+    sol = solve_level(n, params)[0]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # no RuntimeWarning escapes
+        with pytest.raises(ConvergenceError, match="not finite at r = 0.1$"):
+            radial_residual(n, sol, params)
 
 
 # --- Mathieu residuals ------------------------------------------------------
@@ -112,6 +122,11 @@ def test_fd_oracle_agrees_with_characteristic_values(q):
             assert np.min(np.abs(fd - a_val)) < 1e-5
 
 
+def test_fd_oracle_is_reproducible():
+    # ARPACK starts from a random vector unless it is given one
+    assert np.array_equal(fd_eigs_periodic(25.0, 1024, 8), fd_eigs_periodic(25.0, 1024, 8))
+
+
 def test_fd_convergence_rate():
     # halving h divides the eigenvalue error by ~4
     exact = characteristic_value(2, 1.0)
@@ -156,17 +171,17 @@ def _nlsm_per_sample(samples, seed, derivative, h=1e-4):
 
         z = float(rng.uniform(0.0, 2.0 * np.pi))
         p, q, pz, qz = fields(z)
-        point = stereo.ComplexFieldPoint(p, q)
-        s = stereo.unproject(point)
+        cols = [np.array([v]) for v in (p, q, pz, qz)]
+        s = np.array([stereo.unproject(stereo.ComplexFieldPoint(p, q)).as_tuple()])
         if derivative == "analytic":
-            sz = stereo.tangent_pushforward(point, pz, qz)
+            sz = stereo.pushforward(*cols)
         else:
             s_plus = stereo.unproject(stereo.ComplexFieldPoint(*fields(z + h)[:2])).as_tuple()
             s_minus = stereo.unproject(stereo.ComplexFieldPoint(*fields(z - h)[:2])).as_tuple()
-            sz = tuple((hi - lo) / (2.0 * h) for hi, lo in zip(s_plus, s_minus))
-            sz = stereo.project_tangent(s, sz)
-        k_sphere = stereo.kinetic_density_sphere(s, sz)
-        k_plane = stereo.kinetic_density_complex(point, pz, qz)
+            sz = np.array([[(hi - lo) / (2.0 * h) for hi, lo in zip(s_plus, s_minus)]])
+            sz = stereo.tangent_part(s, sz)
+        k_sphere = float(stereo.density_sphere(s, sz)[0])
+        k_plane = float(stereo.density_plane(*cols)[0])
         worst = max(worst, abs(k_sphere - k_plane))
         largest = max(largest, k_sphere, k_plane)
     return worst, largest
@@ -193,11 +208,11 @@ def test_nlsm_equivalence_rejects_bad_args():
 
 
 def test_full_suite_passes():
-    cases = run_suite("all")
+    cases = run_suite("all", A2)
     assert len(cases) >= 8
     assert all(c.passed for c in cases)
 
 
 def test_unknown_suite_rejected():
     with pytest.raises(DomainError):
-        run_suite("everything")
+        run_suite("everything", A2)
