@@ -156,8 +156,6 @@ def derive_lambda_from_constraints(n: int) -> float:
     if n < 0:
         raise DomainError(f"level index must be non-negative, got {n}")
     l = Fraction(-n)
-    if l == 1:
-        raise DomainError("branch relation degenerates at l = 1")
     lam = (l * l - 2 * l + 2) / (l - 1)
     return float(lam)
 
@@ -183,7 +181,7 @@ def bethe_residual(
     z = _root_array(n, roots)
     if n == 0:
         return 0.0
-    f = _bethe_system(z, n, params.a, lambda_n(n))
+    f, _ = _bethe_system(z, n, params.a, lambda_n(n))
     return float(np.max(np.abs(f)))
 
 
@@ -215,8 +213,8 @@ def energy_from_constraints(
     """
     z = _root_array(n, roots)
     coeffs = heun_coefficients(n, params)
-    s1 = z.sum() if n else 0.0 + 0.0j
-    s2 = np.sum(z * z) if n else 0.0 + 0.0j
+    s1 = z.sum()
+    s2 = np.sum(z * z)
     pair = 0.5 * (s1 * s1 - s2)
     minus_c0 = (
         (2.0 * (n - 1) * coeffs.a4 + coeffs.b3) * s2
@@ -401,30 +399,22 @@ def radial_derivatives(
 # Newton machinery
 
 
-def _pair_inverse(z: np.ndarray) -> np.ndarray:
-    """1/(z_i - z_j) off the diagonal, 0 on it."""
+def _bethe_system(z: np.ndarray, n: int, a: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Bethe residuals f_i and their Jacobian df_i/dz_j, from one set of terms."""
     diff = z[:, None] - z[None, :]
     # a unit diagonal keeps the division finite; complex 2/inf would be nan
     np.fill_diagonal(diff, 1.0)
     inv = 1.0 / diff
     np.fill_diagonal(inv, 0.0)
-    return inv
-
-
-def _bethe_system(z: np.ndarray, n: int, a: float, lam: float) -> np.ndarray:
-    lhs = np.sum(2.0 * _pair_inverse(z), axis=1)
-    num = 2.0 * a * z**2 - 2.0 * (n + a) * z + 2.0 * n + lam + 1.0
-    return lhs - num / (z * (1.0 - z))
-
-
-def _bethe_jacobian(z: np.ndarray, n: int, a: float, lam: float) -> np.ndarray:
     num = 2.0 * a * z**2 - 2.0 * (n + a) * z + 2.0 * n + lam + 1.0
     dnum = 4.0 * a * z - 2.0 * (n + a)
     den = z * (1.0 - z)
-    dden = 1.0 - 2.0 * z
-    jac = 2.0 * _pair_inverse(z) ** 2
-    jac[np.diag_indices(n)] = -(dnum * den - num * dden) / den**2 - jac.sum(axis=1)
-    return jac
+    f = np.sum(2.0 * inv, axis=1) - num / den
+    # bethe_residual drops jac, whose squares overflow first (roots near 1e100 at large hbar)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        jac = 2.0 * inv**2
+        jac[np.diag_indices(n)] = -(dnum * den - num * (1.0 - 2.0 * z)) / den**2 - jac.sum(axis=1)
+    return f, jac
 
 
 # wild starts overflow harmlessly before the line search rejects them
@@ -436,13 +426,13 @@ def _damped_newton(
     if _near_pole(z, 1e-6):
         # nudge degenerate seeds off the poles of the system
         z = z + 1e-4 * (1.0 + 1.0j) * (1.0 + np.arange(n))
-    f = _bethe_system(z, n, a, lam)
+    f, jac = _bethe_system(z, n, a, lam)
     norm = np.max(np.abs(f))
     for _ in range(_NEWTON_MAX_ITER):
         if norm < _NEWTON_TARGET:
             return z, True, float(norm)
         try:
-            delta = np.linalg.solve(_bethe_jacobian(z, n, a, lam), -f)
+            delta = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
             return z, False, float(norm)
         if not np.all(np.isfinite(delta.view(float))):
@@ -451,10 +441,10 @@ def _damped_newton(
         for _ in range(14):
             z_new = z + t * delta
             if not _near_pole(z_new, 1e-14):
-                f_new = _bethe_system(z_new, n, a, lam)
+                f_new, jac_new = _bethe_system(z_new, n, a, lam)
                 norm_new = np.max(np.abs(f_new))
                 if norm_new < (1.0 - 0.25 * t) * norm or norm_new < _NEWTON_TARGET:
-                    z, f, norm = z_new, f_new, norm_new
+                    z, f, jac, norm = z_new, f_new, jac_new, norm_new
                     break
             t *= 0.5
         else:

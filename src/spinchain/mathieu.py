@@ -25,8 +25,8 @@ tolerance of twice the smallest normal number, so the interval shrinks to
 rounding relative to the eigenvalue itself rather than to eps times the
 1-norm of the matrix, whose largest diagonal entry grows as the square of
 the truncation. The truncation is doubled until the value moves by less
-than 1e-12 max(1, |a|); the eigenvector is computed once, at the final
-size.
+than 1e-12 max(1, |a|); each truncation's eigensolve returns the value
+together with its eigenvector, so the final one needs no second solve.
 
 The two reductions of the spin-chain problem map onto this engine as
 
@@ -81,8 +81,10 @@ class MathieuSolutionRecord:
     def __call__(self, x) -> np.ndarray:
         return self._basis(x) @ self.fourier_coeffs
 
-    def second_derivative(self, x) -> np.ndarray:
-        return -(self._basis(x) * self.frequencies**2) @ self.fourier_coeffs
+    def value_and_second_derivative(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(w, w'') at x, both summed from one evaluation of the basis."""
+        basis, c = self._basis(x), self.fourier_coeffs
+        return basis @ c, -(basis * self.frequencies**2) @ c
 
     def _basis(self, x) -> np.ndarray:
         """cos(f_j x) or sin(f_j x), one column per frequency."""
@@ -171,7 +173,7 @@ def solve(nu: float, q: float, parity: str = "ce") -> MathieuSolutionRecord:
             fourier_coeffs=np.array([1.0]),
         )
 
-    size = max(_MIN_SIZE, int(2 * abs(nu)) + _MIN_SIZE)
+    size = int(2 * nu) + _MIN_SIZE
     a_prev = None
     try:
         while True:
@@ -184,16 +186,17 @@ def solve(nu: float, q: float, parity: str = "ce") -> MathieuSolutionRecord:
             # the branch keeps the rank its q = 0 frequency has
             principal = int(np.argmin(np.abs(freqs - nu)))
             rank = int(np.count_nonzero(np.abs(freqs) < abs(freqs[principal])))
-            select = dict(select="i", select_range=(rank, rank), tol=_BISECTION_TOL)
-            a_val = float(eigh_tridiagonal(diag, off, eigvals_only=True, **select)[0])
+            values, vectors = eigh_tridiagonal(
+                diag, off, select="i", select_range=(rank, rank), tol=_BISECTION_TOL
+            )
+            a_val = float(values[0])
             if a_prev is not None and abs(a_val - a_prev) < _VALUE_TOL * max(1.0, abs(a_val)):
                 break
             a_prev = a_val
             size *= 2
-
-        coeffs = eigh_tridiagonal(diag, off, **select)[1][:, 0]
     except np.linalg.LinAlgError as exc:  # LAPACK's bisection fails near |q| = 1e300
         raise ConvergenceError(f"Mathieu eigensolve failed for nu={nu}, q={q}: {exc}") from None
+    coeffs = vectors[:, 0]
     if _is_integer(nu) and parity == "ce" and round(nu) % 2 == 0:
         coeffs[0] /= math.sqrt(2.0)  # undo the symmetrization scaling
     coeffs = coeffs / float(np.linalg.norm(coeffs))
@@ -237,7 +240,7 @@ def offplane_spectrum(
     q = params.q_offplane
     h2 = params.hbar**2
     return _finite_energies([
-        (float(nu), -params.A / 8.0 + 2.0 * h2 * characteristic_value(nu, q, parity))
+        (float(nu), -params.A / 8.0 + 2.0 * (h2 * characteristic_value(nu, q, parity)))
         for nu in orders
     ])
 

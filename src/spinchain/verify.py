@@ -22,7 +22,6 @@ from .mathieu import MathieuSolutionRecord
 from .params import PhysicalParams
 
 DEFAULT_RADIAL_GRID = np.logspace(-1.0, 1.0, 101)
-_MATHIEU_GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 RADIAL_TOL = 1e-8
 MATHIEU_TOL = 1e-8
 NLSM_TOL = 1e-8
@@ -90,19 +89,23 @@ def mathieu_residual(
 ) -> ResidualReport:
     """w'' + (a - 2q cos 2x) w from the trigonometric series, exact per mode.
 
-    Evaluated on 64 equispaced points of [0, 2 pi) against MATHIEU_TOL;
-    `a_value` overrides record.a_nu, as `energy` does for radial_residual.
+    Evaluated on max(64, 4 max|f_j|) equispaced points of [0, 2 pi), f_j
+    the series' frequencies, against MATHIEU_TOL; `a_value` overrides
+    record.a_nu, as `energy` does for radial_residual. Four points per
+    period of the highest frequency resolve the peak of w however narrow
+    it is: at |q| = 1e7 it is about |q|^(-1/4) = 0.02 wide, and 64 points,
+    spaced 0.1, miss it, so that correct and wrong values read alike.
 
     The pointwise denominator is floored at 1e-3 max(1, largest term on the
     grid): where w decays to rounding level, the residual is rounding of
     terms of the size of that largest one, so a fixed floor would fail
     correct large-|q| solutions.
     """
-    x = _MATHIEU_GRID
+    points = max(64, int(4.0 * np.max(np.abs(record.frequencies))))
+    x = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
     a_val = record.a_nu if a_value is None else float(a_value)
     q = record.problem.q
-    w = record(x)
-    wpp = record.second_derivative(x)
+    w, wpp = record.value_and_second_derivative(x)
     pot = 2.0 * q * np.cos(2.0 * x)
     residual = wpp + (a_val - pot) * w
     terms = np.maximum.reduce([np.abs(wpp), np.abs(a_val * w), np.abs(pot * w)])

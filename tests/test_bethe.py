@@ -32,6 +32,7 @@ from spinchain.errors import (
     ConvergenceError,
     DomainError,
     IncompleteSpectrumError,
+    RootCollisionError,
 )
 from spinchain.params import make_params
 
@@ -250,8 +251,9 @@ def test_vectorised_system_matches_loop_reference(n):
     f_ref, jac_ref = _loop_system_and_jacobian(z, n, a, lam)
     # summation order differs from the loop: allow rounding at the largest entry
     tol = 1e-13 * max(1.0, np.max(np.abs(jac_ref)))
-    assert np.max(np.abs(bethe._bethe_system(z, n, a, lam) - f_ref)) < tol
-    assert np.max(np.abs(bethe._bethe_jacobian(z, n, a, lam) - jac_ref)) < tol
+    f, jac = bethe._bethe_system(z, n, a, lam)
+    assert np.max(np.abs(f - f_ref)) < tol
+    assert np.max(np.abs(jac - jac_ref)) < tol
 
 
 def test_conjugate_pair_order_ignores_rounding_of_real_parts():
@@ -285,6 +287,19 @@ def test_failed_branch_raises_incomplete_spectrum(monkeypatch, capsys):
     assert "matched 3 of 4" in out.err
 
 
+def test_converged_collision_raises_root_collision(monkeypatch, capsys):
+    def collide(z0, n, a, lam):
+        return np.full(n, 0.3 + 0j), True, 0.0
+
+    monkeypatch.setattr(bethe, "_damped_newton", collide)
+    with pytest.raises(RootCollisionError, match="converged roots collide"):
+        solve_level(2, A2)
+    assert main(["roots", "--n", "2", "--A", "2"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("spinchain: solver error: converged roots collide")
+
+
 def test_bethe_roots_requires_easy_plane():
     with pytest.raises(DomainError):
         bethe_roots(1, make_params(A=-1.0))
@@ -308,6 +323,13 @@ def test_root_count_must_match_level(function, n, roots):
 
 
 # --- energies -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("function", [energy, xi_from_roots])
+def test_complex_root_sum_is_a_solver_error(function):
+    # a lone complex root has no conjugate partner, so xi and E stay complex
+    with pytest.raises(ConvergenceError, match="non-negligible imaginary part"):
+        function(1, [0.5 + 0.5j], A2)
 
 
 def test_overflowing_energy_is_a_solver_error():
@@ -382,12 +404,13 @@ def test_newton_and_recurrence_routes_agree(n, a):
         assert abs(e_n - e_o) < 1e-10
 
 
-@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("n", range(21))
+# A = 2 a^2 is 0.1, 0.5, 2 and 8: the range over which the README says levels are complete
+@pytest.mark.parametrize("a", [math.sqrt(0.05), 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [*range(21), 32])
 def test_levels_are_complete(n, a):
-    """Every level up to n = 20 has all n + 1 branches, each matching one
-    recurrence eigenvalue and solving both the Bethe system and the radial
-    equation."""
+    """Every level up to n = 20, and n = 32, has all n + 1 branches, each
+    matching one recurrence eigenvalue and solving both the Bethe system
+    and the radial equation."""
     params = params_for_a(a)
     oracle = coefficient_recurrence_solutions(n, params)
     assert len(oracle) == n + 1

@@ -307,6 +307,7 @@ _HBAR_ARGV = st.builds(
 @example(argv=["roots", "--n", "0", "--A", "1", "--hbar", "1.2e154"])
 @example(argv=["spectrum", "--max-n", "0", "--A", "1", "--hbar", "1.2e154"])
 @example(argv=["offplane", "--A", "1", "--hbar", "1.3e154", "--orders", "1"])
+@example(argv=["offplane", "--A", "1", "--hbar", "1.3e154", "--orders", "0"])
 @example(argv=["verify", "--n", "0", "--A", "1e6", "--hbar", "1e-3"])
 @example(argv=["verify", "--n", "1", "--A", "9.9e-8", "--hbar", "9.9e-8"])
 def test_wide_inputs_exit_with_a_documented_code(argv):
@@ -349,12 +350,21 @@ def test_negative_values_in_scientific_notation_are_values(capsys, spaced, joine
         (["spectrum", "--max-n", "2", "--A", "2", "--B", "5"], 2),
         (["verify", "--n", "1", "--A", "2", "--B", "5"], 2),
         (["verify", "--suite", "radial", "--B", "1"], 2),
+        (["spectrum", "--max-n", "-1"], 2),
+        (["roots", "--n", "-1"], 2),
+        (["offplane", "--A", "1", "--orders", "3..1"], 2),
+        (["offplane", "--A", "1", "--orders", ","], 2),
+        (["project", "--s1", "0"], 2),
+        (["project", "--P", "1"], 2),
     ],
     ids=["mathieu-nu-squared", "inplane-nu-squared", "roots-field", "spectrum-field",
-         "verify-level-field", "verify-suite-field"],
+         "verify-level-field", "verify-suite-field", "spectrum-negative-level",
+         "roots-negative-level", "orders-empty-range", "orders-empty", "project-spin-partial",
+         "project-field-partial"],
 )
 def test_inputs_without_a_valid_table_print_none(capsys, argv, code):
-    """An overflowing nu^2 is a solver error; a Bethe level at mu*B != 0 is a domain error."""
+    """An overflowing nu^2 is a solver error; a Bethe level at mu*B != 0, a negative
+    level, an empty order list and a partial point are domain errors."""
     assert run_cli(capsys, *argv)[:2] == (code, "")
 
 
@@ -373,14 +383,20 @@ def test_negative_sample_count_is_a_domain_error(capsys):
         ["project", "--batch", "{dir}"],
         ["spectrum", "--max-n", "1", "--config", "{latin1}"],
         ["project", "--batch", "{latin1}"],
+        ["project", "--batch", "{columns}"],
+        ["spectrum", "--max-n", "1", "--config", "{columns}"],
     ],
-    ids=["out-dir", "config-dir", "out-under-file", "batch-dir", "config-latin1", "batch-latin1"],
+    ids=["out-dir", "config-dir", "out-under-file", "batch-dir", "config-latin1", "batch-latin1",
+         "batch-header", "config-no-equals"],
 )
 def test_io_failures_exit_2_with_one_line(tmp_path, capsys, argv):
-    """A file that cannot be read, decoded or written is an input error: exit 2, not 1."""
+    """A file that cannot be read, decoded, parsed or written is an input error: exit 2, not 1."""
     (tmp_path / "file").write_text("")
     (tmp_path / "latin1").write_bytes("# \xb5 is mu\nS1,S2,S3\n".encode("latin-1"))
-    paths = {"dir": tmp_path, "file": tmp_path / "file", "latin1": tmp_path / "latin1"}
+    # neither a (S1,S2,S3) nor a (P,Q) header, nor a `key = value` line
+    (tmp_path / "columns").write_text("S1,S2\n")
+    paths = {"dir": tmp_path, "file": tmp_path / "file", "latin1": tmp_path / "latin1",
+             "columns": tmp_path / "columns"}
     code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert (code, out) == (2, "")
     assert err.startswith("spinchain: ") and err.count("\n") == 1

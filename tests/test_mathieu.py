@@ -200,6 +200,11 @@ def test_overflowing_energies_are_solver_errors(spectrum, params, nu):
         spectrum(params, [nu])
 
 
+def test_offplane_energy_where_only_two_hbar_squared_overflows():
+    # q = -A/(32 hbar^2) underflows to -0.0, so a_0 = 0 and E = -A/8; 2 hbar^2 is inf
+    assert offplane_spectrum(make_params(A=1.0, hbar=1.3e154), [0.0]) == [(0.0, -0.125)]
+
+
 # --- eigenfunctions -------------------------------------------------------------
 
 

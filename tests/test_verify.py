@@ -96,6 +96,19 @@ def test_large_q_solutions_are_certified(nu, q):
     assert not mathieu_residual(rec, a_value=rec.a_nu * (1.0 + 1e-3)).passed
 
 
+@pytest.mark.parametrize(
+    "nu, q, parity",
+    [(1.0, 3e6, "ce"), (1.5, -3e6, "se"), (2.0, 1e7, "se"), (3.0, 1e7, "ce"),
+     (5.0, -3e6, "se"), (10.0, -1e7, "se")],
+)
+def test_grid_resolves_the_peak_at_very_large_q(nu, q, parity):
+    # w is about |q|^(-1/4) wide, narrower than the spacing of a 64-point grid,
+    # which failed these correct values; a + 0.01 is below relative resolution here
+    rec = solve(nu, q, parity)
+    assert mathieu_residual(rec).passed
+    assert not mathieu_residual(rec, a_value=rec.a_nu * (1.0 + 1e-3)).passed
+
+
 # --- finite-difference oracle -------------------------------------------------
 
 
