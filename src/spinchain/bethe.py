@@ -278,11 +278,12 @@ def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
     Returns one tuple of n roots per branch, sorted by the branch energy
     (an empty list for n = 0, which has no roots). Each of the n + 1
     eigenpairs of the recurrence route seeds one Newton polish from the
-    roots of its polynomial, and the polished branches must match the
-    recurrence eigenvalues one to one in xi; otherwise
-    IncompleteSpectrumError is raised, so the result is always all n + 1
-    branches. Every returned set satisfies the Bethe system with residual
-    below 1e-10 and has pairwise-distinct roots. Only mu*B = 0 reduces to it.
+    roots of its polynomial, all seeds polished together as one array, and
+    the polished branches must match the recurrence eigenvalues one to one
+    in xi; otherwise IncompleteSpectrumError is raised, so the result is
+    always all n + 1 branches. Every returned set satisfies the Bethe
+    system with residual below 1e-10 and has pairwise-distinct roots. Only
+    mu*B = 0 reduces to it.
     """
     lam = lambda_n(n)
     if params.muB != 0:
@@ -292,20 +293,17 @@ def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
         return []
     oracle = coefficient_recurrence_solutions(n, params)
     xi_ref = np.array([xi for xi, _ in oracle])
+    coeffs = np.array([s for _, s in oracle], dtype=complex)
+    # a row whose leading entry underflowed has no polynomial to seed from
+    coeffs = coeffs[np.isfinite(coeffs).all(axis=-1)]
+    z, ok, res = _polish(_companion_roots(coeffs), n, a, lam)
     matched: dict[int, np.ndarray] = {}
-    best_residual = math.inf
-    for _, s in oracle:
-        if not np.all(np.isfinite(s)):
-            continue  # the leading entry underflowed: no polynomial to seed from
-        z, res = _polish(np.polynomial.polynomial.polyroots(s.astype(complex)), n, a, lam)
-        if z is None:
-            best_residual = min(best_residual, res)
-            continue
-        xi = _branch_xi(z, a, lam)
+    for i, xi in zip(np.flatnonzero(ok), _branch_xi(z[ok], a, lam)):
         k = int(np.argmin(np.abs(xi_ref - xi)))
         if _same_xi(xi, xi_ref[k]) and k not in matched:
-            matched[k] = z
+            matched[k] = z[i]
     if len(matched) < n + 1:
+        best_residual = float(min([math.inf, *res[~ok]]))  # a NaN never wins, as in a running min
         raise IncompleteSpectrumError(
             f"Newton polish matched {len(matched)} of {n + 1} recurrence "
             f"eigenvalues for n = {n}",
@@ -320,6 +318,10 @@ def solve_level(n: int, params: PhysicalParams) -> list[BetheSolution]:
     """Solve every branch of level n and package the spectral data."""
     root_sets = bethe_roots(n, params) or [()]  # level 0 has one, empty, root set
     lam = lambda_n(n)
+    residual = np.zeros(len(root_sets))
+    if n:
+        f, _ = _bethe_system(np.array(root_sets, dtype=complex), n, params.a, lam)
+        residual = np.max(np.abs(f), axis=-1)
     out = []
     for k, roots in enumerate(root_sets):
         out.append(
@@ -328,7 +330,7 @@ def solve_level(n: int, params: PhysicalParams) -> list[BetheSolution]:
                 roots=tuple(roots),
                 energy=energy(n, roots, params),
                 xi=xi_from_roots(n, roots, params),
-                residual=bethe_residual(n, roots, params),
+                residual=float(residual[k]),
             )
         )
     return out
@@ -396,108 +398,160 @@ def radial_derivatives(
 
 
 # ---------------------------------------------------------------------------
-# Newton machinery
+# Newton machinery, on a (root sets, n) array: every row is one root set
 
 
 def _bethe_system(z: np.ndarray, n: int, a: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Bethe residuals f_i and their Jacobian df_i/dz_j, from one set of terms."""
-    diff = z[:, None] - z[None, :]
+    """The Bethe residuals f_i and their Jacobian df_i/dz_j of each row, from one set of terms."""
+    i = np.arange(n)
+    diff = z[..., :, None] - z[..., None, :]
     # a unit diagonal keeps the division finite; complex 2/inf would be nan
-    np.fill_diagonal(diff, 1.0)
+    diff[..., i, i] = 1.0
     inv = 1.0 / diff
-    np.fill_diagonal(inv, 0.0)
+    inv[..., i, i] = 0.0
     num = 2.0 * a * z**2 - 2.0 * (n + a) * z + 2.0 * n + lam + 1.0
     dnum = 4.0 * a * z - 2.0 * (n + a)
     den = z * (1.0 - z)
-    f = np.sum(2.0 * inv, axis=1) - num / den
-    # bethe_residual drops jac, whose squares overflow first (roots near 1e100 at large hbar)
+    f = np.sum(2.0 * inv, axis=-1) - num / den
+    # bethe_residual and solve_level drop jac, whose squares overflow first (roots near
+    # 1e100 at large hbar)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         jac = 2.0 * inv**2
-        jac[np.diag_indices(n)] = -(dnum * den - num * (1.0 - 2.0 * z)) / den**2 - jac.sum(axis=1)
+        jac[..., i, i] = -(dnum * den - num * (1.0 - 2.0 * z)) / den**2 - jac.sum(axis=-1)
     return f, jac
+
+
+def _companion_roots(c: np.ndarray) -> np.ndarray:
+    """Sorted roots of each monic row of c (low to high degree), as polyroots finds them.
+
+    The companion matrices are built as numpy's polycompanion builds them,
+    unrotated, and go to one stacked eigensolve.
+    """
+    n = c.shape[-1] - 1
+    if n == 1:  # solved directly, as polyroots does
+        return -c[:, :1] / c[:, 1:]
+    mat = np.zeros((len(c), n, n), dtype=c.dtype)
+    i = np.arange(n - 1)
+    mat[:, i + 1, i] = 1
+    mat[:, :, -1] -= c[:, :-1] / c[:, -1:]
+    return np.sort(np.linalg.eigvals(mat), axis=-1)
 
 
 # wild starts overflow harmlessly before the line search rejects them
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _damped_newton(
+def _newton(
     z0: np.ndarray, n: int, a: float, lam: float
-) -> tuple[np.ndarray, bool, float]:
-    z = z0.astype(complex).copy()
-    if _near_pole(z, 1e-6):
-        # nudge degenerate seeds off the poles of the system
-        z = z + 1e-4 * (1.0 + 1.0j) * (1.0 + np.arange(n))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton on each row of z0: (roots, converged, residual) per row.
+
+    Every row keeps its own seed nudge, step length, line search and stop
+    test, so it ends exactly as it would polished alone; a row whose
+    Jacobian is singular or whose step is not finite fails alone.
+    """
+    z = z0.astype(complex)
+    # nudge degenerate seeds off the poles of the system
+    z[_near_pole(z, 1e-6)] += 1e-4 * (1.0 + 1.0j) * (1.0 + np.arange(n))
     f, jac = _bethe_system(z, n, a, lam)
-    norm = np.max(np.abs(f))
+    norm = np.max(np.abs(f), axis=-1)
+    live = np.ones(len(z), dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
-        if norm < _NEWTON_TARGET:
-            return z, True, float(norm)
-        try:
-            delta = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return z, False, float(norm)
-        if not np.all(np.isfinite(delta.view(float))):
-            return z, False, float(norm)
-        t = 1.0
+        live &= ~(norm < _NEWTON_TARGET)
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            break
+        delta = _solve(jac[rows], -f[rows])
+        finite = np.all(np.isfinite(delta.view(float)), axis=-1)
+        live[rows[~finite]] = False
+        rows, delta = rows[finite], delta[finite]
+        # line search: `rows` are the rows still looking for a step length t
+        t = np.ones(len(rows))
         for _ in range(14):
-            z_new = z + t * delta
-            if not _near_pole(z_new, 1e-14):
-                f_new, jac_new = _bethe_system(z_new, n, a, lam)
-                norm_new = np.max(np.abs(f_new))
-                if norm_new < (1.0 - 0.25 * t) * norm or norm_new < _NEWTON_TARGET:
-                    z, f, jac, norm = z_new, f_new, jac_new, norm_new
-                    break
-            t *= 0.5
-        else:
-            return z, norm < _NEWTON_TARGET, float(norm)
-    return z, norm < _NEWTON_TARGET, float(norm)
+            z_new = z[rows] + t[:, None] * delta
+            trial = np.flatnonzero(~_near_pole(z_new, 1e-14))
+            f_new, jac_new = _bethe_system(z_new[trial], n, a, lam)
+            norm_new = np.max(np.abs(f_new), axis=-1)
+            good = (norm_new < (1.0 - 0.25 * t[trial]) * norm[rows[trial]]) | (norm_new < _NEWTON_TARGET)
+            took, done = trial[good], rows[trial[good]]
+            z[done], f[done], jac[done], norm[done] = z_new[took], f_new[good], jac_new[good], norm_new[good]
+            left = np.ones(len(rows), dtype=bool)
+            left[took] = False
+            rows, delta, t = rows[left], delta[left], 0.5 * t[left]
+            if not rows.size:
+                break
+        live[rows] = False  # no step length within 14 halvings decreased the residual
+    return z, norm < _NEWTON_TARGET, norm
 
 
-def _near_pole(z: np.ndarray, eps: float) -> bool:
-    """Two roots, or a root and 0 or 1, closer than eps (a NaN is never close)."""
-    return _min_separation(z) < eps or np.any(np.abs(z) < eps) or np.any(np.abs(z - 1.0) < eps)
+def _solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Newton steps of a stack of systems; a singular row gets a NaN step."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.full_like(rhs, np.nan)
+        for k in range(len(rhs)):
+            try:
+                step[k] = np.linalg.solve(jac[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+        return step
 
 
-def _min_separation(z: np.ndarray) -> float:
-    """Smallest distance between two roots of a non-empty set (inf for one root)."""
-    diff = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(diff, math.inf)
-    return float(diff.min())
+def _near_pole(z: np.ndarray, eps: float) -> np.ndarray:
+    """Per row: two roots, or a root and 0 or 1, closer than eps (a NaN is never close)."""
+    return (
+        (_min_separation(z) < eps)
+        | np.any(np.abs(z) < eps, axis=-1)
+        | np.any(np.abs(z - 1.0) < eps, axis=-1)
+    )
+
+
+def _min_separation(z: np.ndarray) -> np.ndarray:
+    """Smallest distance between two roots of each non-empty row (inf for one root)."""
+    i = np.arange(z.shape[-1])
+    diff = np.abs(z[..., :, None] - z[..., None, :])
+    diff[..., i, i] = math.inf
+    return diff.min(axis=(-2, -1))
 
 
 def _canonical_order(z: np.ndarray) -> np.ndarray:
-    """Sort by real part, then by imaginary part among tied real parts.
+    """Sort each row by real part, then by imaginary part among tied real parts.
 
     A real part tied to its sorted neighbour joins that neighbour's group,
     so a conjugate pair whose real parts differ by rounding always lists
     its negative-imaginary member first.
     """
-    z = z[np.argsort(z.real, kind="stable")]
-    tied = np.diff(z.real) <= _ORDER_TIE_TOL * np.maximum(1.0, np.abs(z.real[1:]))
-    group = np.concatenate(([0], np.cumsum(~tied)))
-    return z[np.lexsort((z.imag, group))]
+    z = np.take_along_axis(z, np.argsort(z.real, axis=-1, kind="stable"), axis=-1)
+    tied = np.diff(z.real, axis=-1) <= _ORDER_TIE_TOL * np.maximum(1.0, np.abs(z.real[..., 1:]))
+    group = np.zeros(z.shape, dtype=int)
+    group[..., 1:] = np.cumsum(~tied, axis=-1)
+    return np.take_along_axis(z, np.lexsort((z.imag, group), axis=-1), axis=-1)
 
 
 def _polish(
     z0: np.ndarray, n: int, a: float, lam: float
-) -> tuple[np.ndarray | None, float]:
-    """Newton-polish one seed: (roots in canonical order or None, residual)."""
-    z, ok, res = _damped_newton(z0, n, a, lam)
-    if not ok:
-        return None, res
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton-polish each row of z0: (roots, converged, residual) per row.
+
+    Converged rows are returned in canonical order.
+    """
+    z, ok, res = _newton(z0, n, a, lam)
     separation = _min_separation(z)
-    if separation <= DISTINCTNESS_TOL:
+    collided = np.flatnonzero(ok & (separation <= DISTINCTNESS_TOL))
+    if collided.size:
         # the ansatz requires distinct roots; a converged collision is
         # not a discardable failure but a degenerate configuration
         raise RootCollisionError(
-            f"converged roots collide (min separation {separation:.3e}) for n = {n}"
+            f"converged roots collide (min separation {separation[collided[0]]:.3e}) for n = {n}"
         )
     # converged means bethe_residual < _NEWTON_TARGET < RESIDUAL_TOL
-    return _canonical_order(z), res
+    z[ok] = _canonical_order(z[ok])
+    return z, ok, res
 
 
-def _branch_xi(z: np.ndarray, a: float, lam: float) -> complex:
-    """xi of a root set, possibly complex; xi_from_roots requires it real."""
-    return complex(a * (lam + 1.0 + 2.0 * z.sum()))
+def _branch_xi(z: np.ndarray, a: float, lam: float) -> complex | np.ndarray:
+    """xi of a root set, or of each row of a stack, possibly complex; xi_from_roots
+    requires it real."""
+    return a * (lam + 1.0 + 2.0 * z.sum(axis=-1))
 
 
 def _same_xi(xi: complex, ref: complex) -> bool:

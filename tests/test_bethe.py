@@ -187,14 +187,14 @@ def test_second_level_root_sets():
 def _polish_blind(n, params, seeds):
     """Distinct branches Newton reaches from explicit seeds, with no recurrence input."""
     a, lam = params.a, lambda_n(n)
+    z, ok, _ = bethe._polish(np.array(seeds, dtype=complex), n, a, lam)
     found = []
-    for seed in seeds:
-        z, _ = bethe._polish(np.asarray(seed, dtype=complex), n, a, lam)
-        if z is not None and not any(
-            bethe._same_xi(bethe._branch_xi(z, a, lam), bethe._branch_xi(other, a, lam))
+    for zk in z[ok]:
+        if not any(
+            bethe._same_xi(bethe._branch_xi(zk, a, lam), bethe._branch_xi(other, a, lam))
             for other in found
         ):
-            found.append(z)
+            found.append(zk)
     return found
 
 
@@ -246,14 +246,16 @@ def _loop_system_and_jacobian(z, n, a, lam):
 @pytest.mark.parametrize("n", [1, 2, 4, 9])
 def test_vectorised_system_matches_loop_reference(n):
     rng = np.random.default_rng(n)
-    z = rng.uniform(0.05, 3.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    z = rng.uniform(0.05, 3.0, (3, n)) + 1j * rng.uniform(-1.0, 1.0, (3, n))
     a, lam = 0.7, lambda_n(n)
-    f_ref, jac_ref = _loop_system_and_jacobian(z, n, a, lam)
-    # summation order differs from the loop: allow rounding at the largest entry
-    tol = 1e-13 * max(1.0, np.max(np.abs(jac_ref)))
     f, jac = bethe._bethe_system(z, n, a, lam)
-    assert np.max(np.abs(f - f_ref)) < tol
-    assert np.max(np.abs(jac - jac_ref)) < tol
+    assert f.shape == (3, n) and jac.shape == (3, n, n)
+    for zk, fk, jk in zip(z, f, jac):
+        f_ref, jac_ref = _loop_system_and_jacobian(zk, n, a, lam)
+        # summation order differs from the loop: allow rounding at the largest entry
+        tol = 1e-13 * max(1.0, np.max(np.abs(jac_ref)))
+        assert np.max(np.abs(fk - f_ref)) < tol
+        assert np.max(np.abs(jk - jac_ref)) < tol
 
 
 def test_conjugate_pair_order_ignores_rounding_of_real_parts():
@@ -265,22 +267,19 @@ def test_conjugate_pair_order_ignores_rounding_of_real_parts():
 
 
 def test_failed_branch_raises_incomplete_spectrum(monkeypatch, capsys):
-    real_newton = bethe._damped_newton
-    calls = []
+    real_newton = bethe._newton
 
     def fail_second(z0, n, a, lam):
-        calls.append(n)
-        if len(calls) == 2:
-            return z0, False, 0.5
-        return real_newton(z0, n, a, lam)
+        z, ok, res = real_newton(z0, n, a, lam)
+        ok[1], res[1] = False, 0.5
+        return z, ok, res
 
-    monkeypatch.setattr(bethe, "_damped_newton", fail_second)
+    monkeypatch.setattr(bethe, "_newton", fail_second)
     with pytest.raises(IncompleteSpectrumError) as info:
         solve_level(3, A2)
     assert (info.value.found, info.value.expected) == (3, 4)
     assert info.value.best_residual == 0.5
 
-    calls.clear()
     assert main(["roots", "--n", "3", "--A", "2"]) == 3
     out = capsys.readouterr()
     assert out.out == ""
@@ -289,15 +288,70 @@ def test_failed_branch_raises_incomplete_spectrum(monkeypatch, capsys):
 
 def test_converged_collision_raises_root_collision(monkeypatch, capsys):
     def collide(z0, n, a, lam):
-        return np.full(n, 0.3 + 0j), True, 0.0
+        return np.full(z0.shape, 0.3 + 0j), np.ones(len(z0), bool), np.zeros(len(z0))
 
-    monkeypatch.setattr(bethe, "_damped_newton", collide)
+    monkeypatch.setattr(bethe, "_newton", collide)
     with pytest.raises(RootCollisionError, match="converged roots collide"):
         solve_level(2, A2)
     assert main(["roots", "--n", "2", "--A", "2"]) == 3
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("spinchain: solver error: converged roots collide")
+
+
+def _oracle_seeds(n, params):
+    coeffs = [s for _, s in coefficient_recurrence_solutions(n, params)]
+    return bethe._companion_roots(np.array(coeffs, dtype=complex))
+
+
+def _assert_rows_polish_alone(z0, n, params):
+    """Polishing the stack gives each row bit for bit what polishing it alone gives."""
+    a, lam = params.a, lambda_n(n)
+    stacked = bethe._newton(z0, n, a, lam)
+    for k in range(len(z0)):
+        alone = bethe._newton(z0[k : k + 1], n, a, lam)
+        for got, want in zip(stacked, alone):
+            assert got[k : k + 1].tobytes() == want.tobytes()
+    return stacked
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_stacked_rows_polish_as_if_alone(n, a):
+    params = params_for_a(a)  # A = 0.5 and 2
+    _, ok, _ = _assert_rows_polish_alone(_oracle_seeds(n, params), n, params)
+    assert ok.all()
+
+
+def test_failing_rows_fail_alone_in_a_mixed_stack(monkeypatch):
+    """At A = 1e6 the upper n = 1 branch stalls in its line search at a
+    rounding-level residual above the absolute Newton target. Beside it sit
+    a row whose Jacobian solve raises and a seed on the pole 0 that needs the
+    nudge. Each fails or is nudged alone, and the other rows converge."""
+    params, n = make_params(A=1e6), 1
+    z0 = np.concatenate([_oracle_seeds(n, params), [[0.5], [0.0]]])
+    _, bad_jac = bethe._bethe_system(z0[2:3], n, params.a, lambda_n(n))
+    real_solve = np.linalg.solve
+
+    def solve(jac, rhs):
+        if np.any(np.all(jac == bad_jac[0], axis=(-2, -1))):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(jac, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    assert bethe._near_pole(z0, 1e-6).tolist() == [False, False, False, True]
+    z, ok, res = _assert_rows_polish_alone(z0, n, params)
+    # the stalled branch, the raising row (at its seed) fail; the nudged seed converges
+    assert ok.tolist() == [True, False, False, True]
+    assert z[2].tobytes() == z0[2].tobytes()
+    assert 0 < res[1] < 1e-9 < res[2]
+
+    monkeypatch.setattr(bethe, "_companion_roots", lambda c: z0)
+    with pytest.raises(IncompleteSpectrumError) as info:
+        bethe_roots(n, params)
+    # row 3 converges onto row 0's branch, so only one branch matches
+    assert (info.value.found, info.value.expected) == (1, 2)
+    assert info.value.best_residual == min(res[1], res[2])
 
 
 def test_bethe_roots_requires_easy_plane():
