@@ -15,6 +15,7 @@ itself used as a test statistic, so no symplectic scheme is used.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,58 +62,54 @@ def mass_function(p: float, q: float) -> float:
     return 1.0 / (d * d)
 
 
-# Each public function below wraps a scalar kernel on (A, mu B); the
-# integrator calls the kernels directly, with the parameters read once.
-
-
 def potential(p: float, q: float, params: PhysicalParams) -> float:
-    return _potential(p, q, params.A, params.muB)
-
-
-def _potential(p: float, q: float, a: float, mub: float) -> float:
     u = p * p + q * q
     d = 1.0 + u
-    return -0.25 * a * (1.0 - u) ** 2 / (d * d) + 0.5 * mub * p / d
+    return -0.25 * params.A * (1.0 - u) ** 2 / (d * d) + 0.5 * params.muB * p / d
 
 
 def potential_gradient(
     p: float, q: float, params: PhysicalParams
 ) -> tuple[float, float]:
     """Closed-form (dV/dP, dV/dQ); checked against finite differences in tests."""
-    return _gradient(p, q, params.A, params.muB)
-
-
-def _gradient(p: float, q: float, a: float, mub: float) -> tuple[float, float]:
     u = p * p + q * q
     d = 1.0 + u
     d2 = d * d
     d3 = d2 * d
-    anis = 2.0 * a * (1.0 - u) / d3
-    dvdp = anis * p + 0.5 * mub * (1.0 - p * p + q * q) / d2
-    dvdq = anis * q - mub * p * q / d2
+    anis = 2.0 * params.A * (1.0 - u) / d3
+    dvdp = anis * p + 0.5 * params.muB * (1.0 - p * p + q * q) / d2
+    dvdq = anis * q - params.muB * p * q / d2
     return (dvdp, dvdq)
 
 
 def hamiltonian_density(st: FieldState, params: PhysicalParams) -> float:
     """Energy density (Pi^2)/(2m) + V = (1/2)(1+P^2+Q^2)^2 (Pi_P^2+Pi_Q^2) + V."""
-    return _density(st.p, st.q, st.pi_p, st.pi_q, params.A, params.muB)
-
-
-def _density(p: float, q: float, pi_p: float, pi_q: float, a: float, mub: float) -> float:
+    p, q = st.p, st.q
     d = 1.0 + p * p + q * q
     # x**2 is C pow; x * x rounds differently on some values and would move H
-    kinetic = 0.5 * d * d * (pi_p**2 + pi_q**2)
-    return kinetic + _potential(p, q, a, mub)
+    kinetic = 0.5 * d * d * (st.pi_p**2 + st.pi_q**2)
+    return kinetic + potential(p, q, params)
+
+
+# The integrator writes out the formulas above on plain floats, one call per
+# RK stage; tests pin each copy bitwise against its public function.
 
 
 def _rhs(
     p: float, q: float, pi_p: float, pi_q: float, a: float, mub: float
 ) -> tuple[float, float, float, float]:
+    """Hamilton's equations, with potential_gradient's terms written out."""
+    p2, q2 = p * p, q * q
     # (1 + P^2) + Q^2 here, 1 + (P^2 + Q^2) in the gradient: each rounds its own way
-    d = 1.0 + p * p + q * q
+    d = 1.0 + p2 + q2
     d2 = d * d
     k = pi_p * pi_p + pi_q * pi_q
-    dvdp, dvdq = _gradient(p, q, a, mub)
+    u = p2 + q2
+    e = 1.0 + u
+    e2 = e * e
+    anis = 2.0 * a * (1.0 - u) / (e2 * e)
+    dvdp = anis * p + 0.5 * mub * (1.0 - p2 + q2) / e2
+    dvdq = anis * q - mub * p * q / e2
     return (d2 * pi_p, d2 * pi_q, -2.0 * p * d * k - dvdp, -2.0 * q * d * k - dvdq)
 
 
@@ -138,30 +135,44 @@ def integrate_static(
     try:
         n_steps = int(round(count))
         z_grid = z0 + step * np.arange(n_steps + 1)
-        states = np.empty((n_steps + 1, 4))
-        h_values = np.empty(n_steps + 1)
     except (OverflowError, ValueError, MemoryError):  # an infinite or oversized count
         raise DomainError(f"{count:.6g} RK4 steps cannot be held in memory") from None
 
     a, mub = params.A, params.muB
     half, sixth = 0.5 * step, step / 6.0
     p, q, pp, pq = map(float, (initial.p, initial.q, initial.pi_p, initial.pi_q))
-    for i in range(n_steps + 1):
-        if i:
-            a1, b1, c1, d1 = _rhs(p, q, pp, pq, a, mub)
-            a2, b2, c2, d2 = _rhs(p + half * a1, q + half * b1, pp + half * c1, pq + half * d1, a, mub)
-            a3, b3, c3, d3 = _rhs(p + half * a2, q + half * b2, pp + half * c2, pq + half * d2, a, mub)
-            a4, b4, c4, d4 = _rhs(p + step * a3, q + step * b3, pp + step * c3, pq + step * d3, a, mub)
-            p = p + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            q = q + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            pp = pp + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-            pq = pq + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        # NaN fails every comparison, so this also catches non-finite states;
-        # the initial state is tested too, since _density overflows beyond it
-        if not (abs(p) <= DIVERGENCE_THRESHOLD and abs(q) <= DIVERGENCE_THRESHOLD
-                and abs(pp) <= DIVERGENCE_THRESHOLD and abs(pq) <= DIVERGENCE_THRESHOLD):
-            z_here = float(z_grid[i])
-            raise DivergenceError(f"trajectory diverged at z = {z_here:.6g}", z=z_here)
-        states[i] = (p, q, pp, pq)
-        h_values[i] = _density(p, q, pp, pq, a, mub)
-    return Trajectory(z_grid=z_grid, state_array=states, h_values=h_values)
+    # 40 bytes per node: the state and its H, appended as C doubles
+    states, h_values = array("d"), array("d")
+    try:
+        for i in range(n_steps + 1):
+            if i:
+                a1, b1, c1, d1 = _rhs(p, q, pp, pq, a, mub)
+                a2, b2, c2, d2 = _rhs(p + half * a1, q + half * b1, pp + half * c1, pq + half * d1, a, mub)
+                a3, b3, c3, d3 = _rhs(p + half * a2, q + half * b2, pp + half * c2, pq + half * d2, a, mub)
+                a4, b4, c4, d4 = _rhs(p + step * a3, q + step * b3, pp + step * c3, pq + step * d3, a, mub)
+                p = p + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                q = q + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                pp = pp + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+                pq = pq + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+            # NaN fails every comparison, so this also catches non-finite states;
+            # the initial state is tested too, since H overflows beyond it
+            if not (abs(p) <= DIVERGENCE_THRESHOLD and abs(q) <= DIVERGENCE_THRESHOLD
+                    and abs(pp) <= DIVERGENCE_THRESHOLD and abs(pq) <= DIVERGENCE_THRESHOLD):
+                z_here = float(z_grid[i])
+                raise DivergenceError(f"trajectory diverged at z = {z_here:.6g}", z=z_here)
+            states.extend((p, q, pp, pq))
+            # hamiltonian_density written out, **2 kept as C pow
+            p2, q2 = p * p, q * q
+            d = 1.0 + p2 + q2
+            u = p2 + q2
+            e = 1.0 + u
+            h_values.append(
+                0.5 * d * d * (pp**2 + pq**2) + (-0.25 * a * (1.0 - u) ** 2 / (e * e) + 0.5 * mub * p / e)
+            )
+    except MemoryError:  # the buffers outgrew memory part way
+        raise DomainError(f"{count:.6g} RK4 steps cannot be held in memory") from None
+    return Trajectory(
+        z_grid=z_grid,
+        state_array=np.frombuffer(states).reshape(-1, 4),
+        h_values=np.frombuffer(h_values),
+    )

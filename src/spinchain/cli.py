@@ -70,7 +70,8 @@ class _Parser(argparse.ArgumentParser):
 # formatting
 
 
-_fmt = "%.15g".__mod__  # the one float format: 15 significant digits
+_FLOAT_SLOT = "%.15g"  # the one float format: 15 significant digits
+_fmt = _FLOAT_SLOT.__mod__
 
 
 def _fmt_complex(z: complex) -> str:
@@ -131,31 +132,76 @@ class _Blanked:
     blank: np.ndarray
 
 
-def _column_cells(values: Any, cell) -> list[str]:
-    """One column's cells: float arrays in bulk, anything else cell by cell."""
-    if isinstance(values, _Blanked):
-        cells = _column_cells(values.values, cell)
-        for i in np.flatnonzero(values.blank):
-            cells[i] = cell(None)
-        return cells
+_BOOL_CELLS = ("false", "true")
+
+
+def _column_slot(values: Any, fmt: str) -> tuple[str, list]:
+    """One column's row-template slot and the values it formats, in row order.
+
+    Float arrays go to the template as floats, bool arrays through a lookup,
+    anything else as cells rendered one by one.
+    """
     if isinstance(values, np.ndarray):
         if values.dtype.kind == "f":
-            return list(map(_fmt, values.tolist()))
+            return _FLOAT_SLOT, values.tolist()
+        if values.dtype.kind == "b":
+            return "%s", list(map(_BOOL_CELLS.__getitem__, values.tolist()))
         values = values.tolist()
-    return [cell(v) for v in values]
+    if fmt == "csv":
+        return "%s", _csv_quoted([_csv_cell(v) for v in values])
+    return "%s", [_json_value(v) for v in values]
 
 
 def _render(columns: dict[str, Any], fmt: str) -> str:
-    """A table given column by column (name -> values, all of one length)."""
+    """A table given column by column (name -> values, all of one length).
+
+    The table is one %-template, built from one row template per pattern of
+    blank cells and applied once to the row-interleaved values. A blank cell
+    keeps its slot, as %.0s, which takes the row's value and prints nothing.
+    """
+    slots, cells, blanks = [], [], {}
+    for j, values in enumerate(columns.values()):
+        if isinstance(values, _Blanked):
+            blanks[j] = values.blank
+            values = values.values
+        slot, column = _column_slot(values, fmt)
+        slots.append(slot)
+        cells.append(column)
     if fmt == "csv":
-        cells = [_csv_quoted(_column_cells(v, _csv_cell)) for v in columns.values()]
-        lines = [",".join(_csv_quoted(list(columns)))]
-        lines += map(",".join, zip(*cells))
-        return "\n".join(lines) + "\n"
-    cells = [_column_cells(v, _json_value) for v in columns.values()]
-    keys = (json.dumps(name).replace("%", "%%") for name in columns)
-    template = "  {" + ", ".join(f"{key}: %s" for key in keys) + "}"
-    return "[\n" + ",\n".join([template % row for row in zip(*cells)]) + "\n]\n"
+        blank_slot = "%.0s"
+
+        def row_template(row_slots):
+            return ",".join(row_slots)
+    else:
+        blank_slot = "null%.0s"
+        keys = [json.dumps(name).replace("%", "%%") for name in columns]
+
+        def row_template(row_slots):
+            return "  {" + ", ".join(f"{k}: {s}" for k, s in zip(keys, row_slots)) + "}"
+
+    n_rows = len(cells[0]) if cells else 0
+    if blanks:
+        # one code per row: bit k is set where the k-th blanked column is blank
+        codes = sum(mask.astype(np.int64) << k for k, mask in enumerate(blanks.values())).tolist()
+        templates = {}
+        for code in set(codes):
+            row_slots = list(slots)
+            for k, j in enumerate(blanks):
+                if code >> k & 1:
+                    row_slots[j] = blank_slot
+            templates[code] = row_template(row_slots)
+        rows = list(map(templates.__getitem__, codes))
+    else:
+        rows = [row_template(slots)] * n_rows
+    flat = [None] * (n_rows * len(cells))
+    for j, column in enumerate(cells):
+        flat[j :: len(cells)] = column
+    if fmt == "csv":
+        header = ",".join(_csv_quoted(list(columns))).replace("%", "%%")
+        template = "\n".join([header, *rows]) + "\n"
+    else:
+        template = "[\n" + ",\n".join(rows) + "\n]\n"
+    return template % tuple(flat)
 
 
 def _write_output(text: str, out: str | None) -> None:

@@ -84,12 +84,15 @@ class MathieuSolutionRecord:
     def value_and_second_derivative(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(w, w'') at x, both summed from one evaluation of the basis."""
         basis, c = self._basis(x), self.fourier_coeffs
-        return basis @ c, -(basis * self.frequencies**2) @ c
+        w = basis @ c
+        # w'' from the same matrix, scaled in place: one points x frequencies array
+        basis *= self.frequencies**2
+        return w, np.negative(basis, out=basis) @ c
 
     def _basis(self, x) -> np.ndarray:
         """cos(f_j x) or sin(f_j x), one column per frequency."""
         phase = np.multiply.outer(np.asarray(x, dtype=float), self.frequencies)
-        return np.cos(phase) if self.parity == "ce" else np.sin(phase)
+        return (np.cos if self.parity == "ce" else np.sin)(phase, out=phase)
 
 
 def _is_integer(nu: float) -> bool:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinchain.classical import (
     DIVERGENCE_THRESHOLD,
     FieldState,
+    _rhs,
     hamiltonian_density,
     integrate_static,
     mass_function,
@@ -225,3 +227,45 @@ def test_divergence_location_matches_array_reference(state, params):
     with pytest.raises(DivergenceError) as new:
         integrate_static(initial, (0.0, 10.0), 1e-3, params)
     assert new.value.z == ref.value.z
+
+
+_COMPONENT = st.floats(-3.0, 3.0)
+_PARAMS = st.builds(
+    lambda a, b, mu: make_params(A=a, B=b, mu=mu),
+    st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(0.0, 3.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=st.tuples(*[_COMPONENT] * 4), params=_PARAMS, step=st.sampled_from([1e-3, 4e-3]))
+def test_scalar_step_matches_references_bitwise(state, params, step):
+    """200 steps: the states and H equal the array loop's, and each H is
+    hamiltonian_density of its state, all to the bit."""
+    initial = FieldState(*state)
+    z_span = (0.0, 200 * step)
+    try:
+        ref_states, ref_h = _reference_trajectory(initial, z_span, step, params)
+    except DivergenceError as ref:
+        with pytest.raises(DivergenceError) as new:
+            integrate_static(initial, z_span, step, params)
+        assert new.value.z == ref.z
+        return
+    traj = integrate_static(initial, z_span, step, params)
+    assert traj.state_array.shape == (201, 4)
+    assert traj.state_array.tobytes() == ref_states.tobytes()
+    assert traj.h_values.tobytes() == ref_h.tobytes()
+    for row, h in zip(traj.state_array.tolist(), traj.h_values.tolist()):
+        assert h.hex() == hamiltonian_density(FieldState(*row), params).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=st.tuples(*[st.floats(-1e6, 1e6)] * 4), params=_PARAMS)
+def test_rhs_gradient_terms_match_potential_gradient_bitwise(state, params):
+    p, q, pi_p, pi_q = state
+    d = 1.0 + p * p + q * q
+    k = pi_p * pi_p + pi_q * pi_q
+    dvdp, dvdq = potential_gradient(p, q, params)
+    expected = (d * d * pi_p, d * d * pi_q, -2.0 * p * d * k - dvdp, -2.0 * q * d * k - dvdq)
+    got = _rhs(p, q, pi_p, pi_q, params.A, params.muB)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+

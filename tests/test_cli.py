@@ -208,27 +208,46 @@ def _reference_render(rows, fieldnames, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_column_renderer_matches_row_renderer(fmt):
-    floats = np.array([-0.0, 1e-300, 1.2345678901234567, np.nan, -np.inf, 2.0**60])
-    blank = np.array([False, True, False, False, True, False])
-    with_blanks = [None if b else v for v, b in zip(floats[::-1].tolist(), blank)]
+    floats = np.array([-0.0, 1e-300, 1.2345678901234567, np.nan, -np.inf, 2.0**60, 5e-324, 1e16])
+    blank = np.array([False, True, False, False, True, False, True, False])
+    other_blank = np.array([True, True, False, True, False, False, False, False])
+    flags = np.array([True, False, False, True, True, False, True, False])
     cells = {
         "x_cells": [float(v) for v in floats],
-        "flag": [None, True, False, True, True, False],
-        "count": [0, -3, 10**20, np.int64(7), np.array([1, 2])[0], 5],
-        "z": [complex(1, -2), 1.5 + 0j, complex(-0.0, -0.0), complex(0.5, 1e-300), None, 2j],
-        "roots": [[], [complex(1, 2), complex(1, -2)], [0.25], [1 + 0j, -0.0], None, [3]],
-        "name": ["plain", "with,comma", 'with"quote', "ce", "", "a b"],
-        "weird,\"name": [np.float64(0.1), 1e16, 123456789012345678.0, -1.5e-7, 0.0, 1.0],
+        "flag": [None, True, False, True, True, False, np.bool_(True), False],
+        "count": [0, -3, 10**20, np.int64(7), np.array([1, 2])[0], 5, -1, 2**70],
+        "z": [complex(1, -2), 1.5 + 0j, complex(-0.0, -0.0), complex(0.5, 1e-300), None, 2j,
+              complex(np.nan, np.inf), -1j],
+        "roots": [[], [complex(1, 2), complex(1, -2)], [0.25], [1 + 0j, -0.0], None, [3], [True], ["a"]],
+        "name": ["plain", "with,comma", 'with"quote', "ce", "", "a b", "50%", "%s%%"],
+        "weird,\"name": [np.float64(0.1), 1e16, 123456789012345678.0, -1.5e-7, 0.0, 1.0, 5e-324, -np.nan],
     }
     columns = {
         "x": floats,
         "blanked": cli._Blanked(floats[::-1].copy(), blank),
-        "ints": np.array([1, 2, 3, 4, 5, 6]),
+        "ints": np.arange(1, 9),
+        "pct%": floats * 3.0,
+        "%%s": cli._Blanked(-floats, other_blank),
+        "flags": flags,
         **cells,
     }
-    reference = {"x": floats.tolist(), "blanked": with_blanks, "ints": [1, 2, 3, 4, 5, 6], **cells}
-    rows = [{name: reference[name][i] for name in columns} for i in range(len(floats))]
-    assert cli._render(columns, fmt) == _reference_render(rows, list(columns), fmt)
+    reference = {
+        "x": floats.tolist(),
+        "blanked": [None if b else v for v, b in zip(floats[::-1].tolist(), blank)],
+        "ints": list(range(1, 9)),
+        "pct%": (floats * 3.0).tolist(),
+        "%%s": [None if b else v for v, b in zip((-floats).tolist(), other_blank)],
+        "flags": flags.tolist(),
+        **cells,
+    }
+    for n_rows in (len(floats), 1, 0):
+        table = {
+            name: cli._Blanked(v.values[:n_rows], v.blank[:n_rows])
+            if isinstance(v, cli._Blanked) else v[:n_rows]
+            for name, v in columns.items()
+        }
+        rows = [{name: reference[name][i] for name in columns} for i in range(n_rows)]
+        assert cli._render(table, fmt) == _reference_render(rows, list(columns), fmt)
     empty = {name: [] for name in columns}
     assert cli._render(empty, fmt) == _reference_render([], list(columns), fmt)
 

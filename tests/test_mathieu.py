@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,41 @@ def test_trig_reduction_at_zero_q():
 def test_eigenfunction_satisfies_ode():
     rec = solve(1.0, 1.0, "ce")
     assert mathieu_residual(rec).max_rel < 1e-8
+
+
+@pytest.mark.parametrize(
+    "nu, q, parity",
+    [(0.0, 1.0, "ce"), (1.0, -3.0, "se"), (2.5, 40.0, "ce"), (1.5, -1e3, "se"),
+     (3.0, 1e4, "ce"), (0.5, 1e5, "se")],
+)
+def test_second_derivative_matches_two_matrix_formula_bitwise(nu, q, parity):
+    """w'' scaled in place in the basis equals the product with a second matrix."""
+    rec = solve(nu, q, parity)
+    c, f = rec.fourier_coeffs, rec.frequencies
+    for x in (np.linspace(0.0, 2.0 * np.pi, 257, endpoint=False), 0.7):
+        phase = np.multiply.outer(np.asarray(x, dtype=float), f)
+        basis = np.cos(phase) if parity == "ce" else np.sin(phase)
+        w, wpp = rec.value_and_second_derivative(x)
+        assert np.array_equal(w, basis @ c)
+        assert np.array_equal(wpp, -(basis * f**2) @ c)
+        assert np.array_equal(rec(x), basis @ c)
+
+
+def test_residual_at_huge_q_holds_one_basis_matrix():
+    """The resolving grid at |q| = 1e7 makes a points x frequencies basis of
+    about 45 MiB; the residual must not hold a second one beside it."""
+    rec = solve(1.5, -1e7, "se")
+    points = max(64, int(4.0 * np.max(np.abs(rec.frequencies))))
+    basis_bytes = points * rec.frequencies.size * 8
+    assert basis_bytes > 40 * 2**20
+    tracemalloc.start()
+    try:
+        report = mathieu_residual(rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 1.2 * basis_bytes
 
 
 def test_coefficients_are_normalized_with_positive_principal():
