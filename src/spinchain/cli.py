@@ -246,7 +246,12 @@ def _parse_orders(spec_str: str) -> list[float]:
             lo, hi = int(m.group(1)), int(m.group(2))
             if hi < lo:
                 raise DomainError(f"empty order range {token!r}")
-            orders.extend(float(v) for v in range(lo, hi + 1))
+            try:
+                # allocated up front, so a count too large to hold fails before anything grows
+                values = np.fromiter(map(float, range(lo, hi + 1)), float, hi - lo + 1)
+            except (OverflowError, ValueError, MemoryError):
+                raise DomainError(f"order range {token!r} cannot be held as floats") from None
+            orders.extend(values.tolist())
         else:
             try:
                 orders.append(float(token))
@@ -257,17 +262,7 @@ def _parse_orders(spec_str: str) -> list[float]:
     return orders
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="spinchain",
-        description="Quasi-exact spectra and verification tools for the "
-        "continuum anisotropic spin chain.",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("project", help="stereographic map, either direction")
+def _project_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s1", type=float, default=None)
     p.add_argument("--s2", type=float, default=None)
     p.add_argument("--s3", type=float, default=None)
@@ -276,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", default=None, help="CSV with (S1,S2,S3) or (P,Q) columns")
     p.set_defaults(handler=_cmd_project)
 
-    p = sub.add_parser("classical", help="integrate the static Hamilton equations")
+
+def _classical_args(p: argparse.ArgumentParser) -> None:
     _add_param_flags(p)
     p.add_argument("--P", type=float, default=0.0)
     p.add_argument("--Q", type=float, default=0.0)
@@ -286,44 +282,83 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1e-3)
     p.set_defaults(handler=_cmd_classical)
 
-    p = sub.add_parser("spectrum", help="quasi-exact level table up to --max-n")
+
+def _spectrum_args(p: argparse.ArgumentParser) -> None:
     _add_param_flags(p)
     p.add_argument("--max-n", type=int, required=True)
     p.set_defaults(handler=_cmd_spectrum)
 
-    p = sub.add_parser("roots", help="all root-set branches of one level")
+
+def _roots_args(p: argparse.ArgumentParser) -> None:
     _add_param_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_roots)
 
-    p = sub.add_parser("mathieu", help="characteristic value and eigenfunctions")
+
+def _mathieu_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--parity", choices=("ce", "se"), default="ce")
     p.add_argument("--samples", type=int, default=0, help="emit N samples of ce/se")
     p.set_defaults(handler=_cmd_mathieu)
 
-    for name, plane, spectrum in (
-        ("offplane", "out-of-plane", mathieu.offplane_spectrum),
-        ("inplane", "in-plane", mathieu.inplane_spectrum),
-    ):
-        p = sub.add_parser(name, help=f"{plane} energy table")
-        _add_param_flags(p)
-        p.add_argument("--orders", required=True, help="e.g. '0..5' or '0,0.5,1'")
-        p.add_argument("--parity", choices=("ce", "se", "both"), default="ce")
-        p.set_defaults(handler=_cmd_energy_table, spectrum=spectrum)
 
-    p = sub.add_parser("verify", help="residual suites / per-level residual profile")
+def _energy_table_args(p: argparse.ArgumentParser, spectrum) -> None:
+    _add_param_flags(p)
+    p.add_argument("--orders", required=True, help="e.g. '0..5' or '0,0.5,1'")
+    p.add_argument("--parity", choices=("ce", "se", "both"), default="ce")
+    p.set_defaults(handler=_cmd_energy_table, spectrum=spectrum)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     _add_param_flags(p)
     p.add_argument("--suite", choices=("radial", "mathieu", "nlsm", "all"), default="all")
     p.add_argument("--n", type=int, default=None, help="emit the residual profile of level n")
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(handler=_cmd_verify)
 
-    # added last, so they close every command's usage line
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+
+# each command: its name, its line in the top-level help, and what adds its
+# arguments. The spectrum functions are looked up on `mathieu` when the parser
+# is built, so a wrapper set on the module attribute after import is called.
+_COMMANDS = (
+    ("project", "stereographic map, either direction", _project_args),
+    ("classical", "integrate the static Hamilton equations", _classical_args),
+    ("spectrum", "quasi-exact level table up to --max-n", _spectrum_args),
+    ("roots", "all root-set branches of one level", _roots_args),
+    ("mathieu", "characteristic value and eigenfunctions", _mathieu_args),
+    ("offplane", "out-of-plane energy table",
+     lambda p: _energy_table_args(p, mathieu.offplane_spectrum)),
+    ("inplane", "in-plane energy table", lambda p: _energy_table_args(p, mathieu.inplane_spectrum)),
+    ("verify", "residual suites / per-level residual profile", _verify_args),
+)
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, each with its arguments.
+
+    Given `argv`, only the command that its first non-option argument names
+    gets its arguments; the others keep their name and help text. That is
+    all the top-level help and the invalid-choice error print, and argparse
+    reads no other command, so `parse_args(argv)` behaves as with every
+    command filled.
+    """
+    parser = _Parser(
+        prog="spinchain",
+        description="Quasi-exact spectra and verification tools for the "
+        "continuum anisotropic spin chain.",
+        epilog=_EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    invoked = None if argv is None else next((a for a in argv if not a.startswith("-")), None)
+    for name, help_text, add_arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if argv is None or name == invoked:
+            add_arguments(p)
+            # added last, so they close every command's usage line
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+            p.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
 
 
@@ -514,7 +549,9 @@ def _cmd_verify(args: argparse.Namespace, params: PhysicalParams) -> dict[str, A
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

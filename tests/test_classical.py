@@ -95,6 +95,20 @@ def test_drift_scales_like_fourth_order():
     assert drift_coarse / drift_fine > 8.0  # ~16 for a clean 4th-order method
 
 
+def test_domain_wall_matches_closed_form_at_fourth_order():
+    """At B = 0 the E = 0 separatrix from the origin is the domain wall
+    P = tanh(sqrt(A/2) z), Q = 0: an oracle independent of the integrator."""
+    a = 2.0
+    slope = np.sqrt(a / 2.0)
+    errors = []
+    for step in (1e-2, 1e-3):
+        traj = integrate_static(FieldState(0.0, 0.0, slope, 0.0), (0.0, 5.0), step, make_params(A=a))
+        y = traj.state_array
+        assert np.all(y[:, 1] == 0.0)
+        errors.append(np.max(np.abs(y[:, 0] - np.tanh(slope * traj.z_grid))))
+    assert np.log10(errors[0] / errors[1]) >= 3.9  # observed 4.008
+
+
 def test_momenta_definition_recovered_from_trajectory():
     initial = FieldState(0.1, 0.0, 0.0, 0.0)
     traj = integrate_static(initial, (0.0, 2.0), 1e-3, A2)

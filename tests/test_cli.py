@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -102,6 +103,13 @@ def test_mathieu_samples(capsys):
     assert [r["x"] for r in rows][0] == "0"
     assert float(rows[1]["ce"]) == pytest.approx(math.cos(math.pi / 2), abs=1e-12)
     assert float(rows[1]["se"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_order_ranges_expand_to_the_float_of_each_integer():
+    big = 2**53
+    assert cli._parse_orders("-2..1, 0.5") == [-2.0, -1.0, 0.0, 1.0, 0.5]
+    assert cli._parse_orders(f"{big}..{big + 3}") == [float(v) for v in range(big, big + 4)]
+    assert cli._parse_orders(f"{10**30}..{10**30 + 1}") == [1e30, 1e30]
 
 
 def test_bad_orders_is_domain_error(capsys):
@@ -373,17 +381,22 @@ def test_negative_values_in_scientific_notation_are_values(capsys, spaced, joine
         (["roots", "--n", "-1"], 2),
         (["offplane", "--A", "1", "--orders", "3..1"], 2),
         (["offplane", "--A", "1", "--orders", ","], 2),
+        (["offplane", "--A", "1", "--orders", f"0..{10**30}"], 2),
+        (["inplane", "--B", "0", "--orders", f"0..{10**30}"], 2),
+        (["offplane", "--A", "1", "--orders", f"{10**400}..{10**400}"], 2),
         (["project", "--s1", "0"], 2),
         (["project", "--P", "1"], 2),
     ],
     ids=["mathieu-nu-squared", "inplane-nu-squared", "roots-field", "spectrum-field",
          "verify-level-field", "verify-suite-field", "spectrum-negative-level",
-         "roots-negative-level", "orders-empty-range", "orders-empty", "project-spin-partial",
+         "roots-negative-level", "orders-empty-range", "orders-empty", "orders-unbounded-offplane",
+         "orders-unbounded-inplane", "orders-beyond-float", "project-spin-partial",
          "project-field-partial"],
 )
 def test_inputs_without_a_valid_table_print_none(capsys, argv, code):
     """An overflowing nu^2 is a solver error; a Bethe level at mu*B != 0, a negative
-    level, an empty order list and a partial point are domain errors."""
+    level, an empty order list, an order range too long to hold or beyond float range and a
+    partial point are domain errors."""
     assert run_cli(capsys, *argv)[:2] == (code, "")
 
 
@@ -555,6 +568,49 @@ def test_malformed_flag_is_usage_error(capsys):
 
 def test_domain_error_exit(capsys):
     assert main(["spectrum", "--max-n", "1", "--A", "2", "--hbar", "0"]) == 2
+
+
+# the smallest arguments each command parses without a usage error
+_REQUIRED = {
+    "project": [], "classical": [], "spectrum": ["--max-n", "1"], "roots": ["--n", "1"],
+    "mathieu": ["--nu", "1", "--q", "1"], "offplane": ["--orders", "0"],
+    "inplane": ["--orders", "0"], "verify": [],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h"], [], ["frobnicate"], ["-1"], ["-h", "mathieu"],
+     ["--format", "json", "mathieu", "--nu", "1", "--q", "1"],
+     ["--bogus", "mathieu", "--nu", "1", "--q", "1"]]
+    + [[command, "--help"] for command in _REQUIRED]
+    + [[command, *required, "extra"] for command, required in _REQUIRED.items()]
+    + [[command, *required, "--bogus"] for command, required in _REQUIRED.items()],
+    ids=lambda argv: " ".join(argv) or "no-command",
+)
+def test_help_and_usage_errors_match_the_parser_with_every_command(monkeypatch, capsys, argv):
+    """Filling only the invoked command changes no byte of help or usage-error output."""
+    code, out, err = run_cli(capsys, *argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: full_parser())
+    assert run_cli(capsys, *argv) == (code, out, err)
+    assert code in (0, 64)
+
+
+def test_only_the_invoked_command_gets_arguments(monkeypatch, capsys):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args[0])
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert run_cli(capsys, "roots", "--n", "1", "--A", "2")[0] == 0
+    # one -h per parser: the top level and each of the 8 commands
+    assert sorted(added) == sorted(
+        ["-h"] * 9 + ["--A", "--B", "--mu", "--hbar", "--config", "--n", "--format", "--out"]
+    )
 
 
 def test_help_exits_zero(capsys):
