@@ -136,7 +136,11 @@ def integrate_static(
         n_steps = int(round(count))
         z_grid = z0 + step * np.arange(n_steps + 1)
     except (OverflowError, ValueError, MemoryError):  # an infinite or oversized count
-        raise DomainError(f"{count:.6g} RK4 steps cannot be held in memory") from None
+        z_grid = None
+    # for counts from 2**63 - 1 to about 2**63 + 1024, arange returns an empty
+    # grid instead of failing
+    if z_grid is None or len(z_grid) != n_steps + 1:
+        raise DomainError(f"{count:.6g} RK4 steps cannot be held in memory")
 
     a, mub = params.A, params.muB
     half, sixth = 0.5 * step, step / 6.0

@@ -22,11 +22,11 @@ import os
 import re
 import sys
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import classical, mathieu, stereo, verify
+from . import _g15, classical, mathieu, stereo, verify
 from .bethe import solve_level
 from .errors import (
     ConstraintViolationError,
@@ -152,7 +152,7 @@ def _column_slot(values: Any, fmt: str) -> tuple[str, list]:
     return "%s", [_json_value(v) for v in values]
 
 
-def _render(columns: dict[str, Any], fmt: str) -> str:
+def _template_table(columns: dict[str, Any], fmt: str) -> str:
     """A table given column by column (name -> values, all of one length).
 
     The table is one %-template, built from one row template per pattern of
@@ -204,12 +204,88 @@ def _render(columns: dict[str, Any], fmt: str) -> str:
     return template % tuple(flat)
 
 
-def _write_output(text: str, out: str | None) -> None:
+_BOOL_BYTES = np.array(_BOOL_CELLS, dtype="S5").view(np.uint8).reshape(2, 5)
+_NULL_BYTES = np.frombuffer(b"null", np.uint8)
+# From this many rows up, a table of arrays is written as bytes: below it the
+# %-template is faster, as the byte path's fixed cost per column is larger.
+_ARRAY_TABLE_ROWS = 512
+_CHUNK_ROWS = 2048  # rows per piece of an array table, which bounds its memory
+
+
+def _array_cells(values: np.ndarray, blank: np.ndarray | None, fmt: str) -> np.ndarray:
+    """A float or bool column's cells as a NUL-padded (rows, width) uint8 matrix."""
+    if values.dtype.kind == "b":
+        return np.take(_BOOL_BYTES, values.astype(np.intp), axis=0)
+    cells = _g15.cells(values)
+    if blank is not None:
+        cells[blank] = 0
+        if fmt == "json":
+            cells[blank, :4] = _NULL_BYTES
+    return cells
+
+
+def _array_table(columns: dict[str, Any], fmt: str) -> Iterator[str]:
+    """A table of float and bool array columns, as pieces of its text.
+
+    Each piece is a run of rows built as one uint8 matrix: a block of
+    fixed-width, NUL-padded cells per column, between constant blocks of
+    separators and JSON keys. Dropping the NULs gives the piece's text.
+    """
+    arrays = [(v.values, v.blank) if isinstance(v, _Blanked) else (v, None)
+              for v in columns.values()]
+    if fmt == "csv":
+        yield ",".join(_csv_quoted(list(columns))) + "\n"
+        seps = [""] + [","] * (len(columns) - 1)
+        end = "\n"
+    else:
+        yield "[\n"
+        seps = [("  {" if j == 0 else ", ") + json.dumps(name) + ": " for j, name in enumerate(columns)]
+        end = "},\n"
+    seps = [np.frombuffer(sep.encode(), np.uint8) for sep in seps]
+    end = np.frombuffer(end.encode(), np.uint8)
+    n_rows = len(arrays[0][0])
+    for i in range(0, n_rows, _CHUNK_ROWS):
+        part = slice(i, i + _CHUNK_ROWS)
+        blocks = []
+        for sep, (values, blank) in zip(seps, arrays):
+            blocks += [sep, _array_cells(values[part], None if blank is None else blank[part], fmt)]
+        blocks.append(end)
+        rows = np.empty((len(blocks[1]), sum(block.shape[-1] for block in blocks)), np.uint8)
+        start = 0
+        for block in blocks:
+            rows[:, start:start + block.shape[-1]] = block
+            start += block.shape[-1]
+        if fmt == "json" and i + len(rows) == n_rows:
+            rows[-1, -2:] = (ord("\n"), 0)  # no comma after the last row
+        yield rows[rows != 0].tobytes().decode("ascii")
+    if fmt == "json":
+        yield "]\n" if n_rows else "\n]\n"
+
+
+def _render(columns: dict[str, Any], fmt: str) -> Iterable[str]:
+    """A table given column by column (name -> values, all of one length), as
+    pieces of its text.
+
+    A long table of float and bool arrays (`_Blanked` included) is written
+    as bytes, with its floats formatted all at once; any other table is one
+    %-template.
+    """
+    arrays = [v.values if isinstance(v, _Blanked) else v for v in columns.values()]
+    if (
+        arrays
+        and all(isinstance(v, np.ndarray) and v.dtype.kind in "fb" for v in arrays)
+        and len(arrays[0]) >= _ARRAY_TABLE_ROWS
+    ):
+        return _array_table(columns, fmt)
+    return (_template_table(columns, fmt),)
+
+
+def _write_output(pieces: Iterable[str], out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +560,13 @@ def _cmd_mathieu(args: argparse.Namespace, params: None) -> dict[str, Any]:
     if args.samples < 0:
         raise DomainError(f"--samples must be non-negative, got {args.samples}")
     if args.samples > 0:
-        xs = np.linspace(0.0, 2.0 * np.pi, args.samples, endpoint=False)
+        try:
+            xs = np.linspace(0.0, 2.0 * np.pi, args.samples, endpoint=False)
+        except (MemoryError, ValueError):
+            xs = None
+        # near 2**63, linspace returns an empty grid instead of failing
+        if xs is None or len(xs) != args.samples:
+            raise DomainError(f"--samples {args.samples} cannot be held in memory")
         columns = {"x": xs, "ce": mathieu.solve(nu, q, "ce")(xs)}
         if mathieu.has_branch(nu, "se"):
             columns["se"] = mathieu.solve(nu, q, "se")(xs)

@@ -109,6 +109,45 @@ def test_domain_wall_matches_closed_form_at_fourth_order():
     assert np.log10(errors[0] / errors[1]) >= 3.9  # observed 4.008
 
 
+# A start in the bounded well at B = 0: H < 0 keeps P^2 + Q^2 < 1 (V vanishes
+# only on the unit circle). Starts with H > 0 can run out towards the pole,
+# where RK4's error, and with it the drift of L, grows (3e-5 at P^2 + Q^2 ~ 4e5).
+_WELL_START = st.tuples(
+    st.floats(0.5, 4.0), *[st.floats(-0.6, 0.6)] * 2, *[st.floats(-0.5, 0.5)] * 2
+).filter(lambda s: hamiltonian_density(FieldState(*s[1:]), make_params(A=s[0])) < 0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(start=_WELL_START)
+def test_angular_momentum_is_conserved_at_zero_field(start):
+    """At B = 0, H is invariant under rotations of the (P, Q) plane, so
+    L = P Pi_Q - Q Pi_P is conserved; RK4 keeps it to rounding, not exactly
+    (largest drift over 10^4 steps 1.6e-13 in 120 starts)."""
+    a, *state = start
+    y = integrate_static(FieldState(*state), (0.0, 10.0), 1e-3, make_params(A=a)).state_array
+    angular = y[:, 0] * y[:, 3] - y[:, 1] * y[:, 2]
+    assert np.max(np.abs(angular - angular[0])) <= 1e-9
+
+
+def _rotated(y, angle):
+    """(P, Q) and (Pi_P, Pi_Q) of each row of y turned by `angle`."""
+    c, s = np.cos(angle), np.sin(angle)
+    y = np.asarray(y, dtype=float).reshape(-1, 4)
+    return np.column_stack([c * y[:, 0] - s * y[:, 1], s * y[:, 0] + c * y[:, 1],
+                            c * y[:, 2] - s * y[:, 3], s * y[:, 2] + c * y[:, 3]])
+
+
+@settings(max_examples=10, deadline=None)
+@given(start=_WELL_START, angle=st.floats(0.0, 2.0 * np.pi))
+def test_rotated_start_gives_the_rotated_trajectory_at_zero_field(start, angle):
+    """Largest difference over 10^4 steps 1.7e-13 in 120 starts."""
+    a, *state = start
+    params = make_params(A=a)
+    y = integrate_static(FieldState(*state), (0.0, 10.0), 1e-3, params).state_array
+    turned = integrate_static(FieldState(*_rotated(state, angle)[0]), (0.0, 10.0), 1e-3, params)
+    assert np.max(np.abs(turned.state_array - _rotated(y, angle))) <= 1e-10
+
+
 def test_momenta_definition_recovered_from_trajectory():
     initial = FieldState(0.1, 0.0, 0.0, 0.0)
     traj = integrate_static(initial, (0.0, 2.0), 1e-3, A2)
@@ -147,6 +186,15 @@ def test_bad_inputs_rejected():
         integrate_static(FieldState(0, 0, 0, 0), (1.0, 0.0), 1e-3, FREE)
     with pytest.raises(DomainError):
         FieldState(float("nan"), 0.0, 0.0, 0.0)
+
+
+# Step counts that cannot be allocated. At 2**63 numpy's arange returns an empty
+# grid instead of failing; RK4 must not start on it, as it would step until
+# memory runs out.
+@pytest.mark.parametrize("z1", [2.0**63, 2.0**63 - 1024.0, 1e30])
+def test_step_count_that_cannot_be_held_is_a_domain_error(z1):
+    with pytest.raises(DomainError, match="cannot be held in memory"):
+        integrate_static(FieldState(0, 0, 0, 0), (0.0, z1), 1.0, FREE)
 
 
 # --- scalar step against the array-per-step reference -------------------------

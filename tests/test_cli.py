@@ -7,14 +7,16 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinchain import cli, verify
+from spinchain import _g15, classical, cli, verify
 from spinchain.cli import main
+from spinchain.params import PhysicalParams
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +216,21 @@ def _reference_render(rows, fieldnames, fmt):
     return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
+def _rendered(columns, fmt):
+    return "".join(cli._render(columns, fmt))
+
+
+def _row_dicts(columns):
+    """The columns of a table as one dict per row, a _Blanked cell as None."""
+    lists = {
+        name: [None if b else v for v, b in zip(c.values.tolist(), c.blank.tolist())]
+        if isinstance(c, cli._Blanked) else list(c.tolist() if isinstance(c, np.ndarray) else c)
+        for name, c in columns.items()
+    }
+    n_rows = len(next(iter(lists.values()))) if lists else 0
+    return [{name: lists[name][i] for name in columns} for i in range(n_rows)]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_column_renderer_matches_row_renderer(fmt):
     floats = np.array([-0.0, 1e-300, 1.2345678901234567, np.nan, -np.inf, 2.0**60, 5e-324, 1e16])
@@ -230,34 +247,121 @@ def test_column_renderer_matches_row_renderer(fmt):
         "name": ["plain", "with,comma", 'with"quote', "ce", "", "a b", "50%", "%s%%"],
         "weird,\"name": [np.float64(0.1), 1e16, 123456789012345678.0, -1.5e-7, 0.0, 1.0, 5e-324, -np.nan],
     }
-    columns = {
+    arrays = {
         "x": floats,
         "blanked": cli._Blanked(floats[::-1].copy(), blank),
-        "ints": np.arange(1, 9),
         "pct%": floats * 3.0,
         "%%s": cli._Blanked(-floats, other_blank),
         "flags": flags,
-        **cells,
     }
-    reference = {
-        "x": floats.tolist(),
-        "blanked": [None if b else v for v, b in zip(floats[::-1].tolist(), blank)],
-        "ints": list(range(1, 9)),
-        "pct%": (floats * 3.0).tolist(),
-        "%%s": [None if b else v for v, b in zip((-floats).tolist(), other_blank)],
-        "flags": flags.tolist(),
-        **cells,
-    }
+    columns = {**arrays, "ints": np.arange(1, 9), **cells}
     for n_rows in (len(floats), 1, 0):
-        table = {
-            name: cli._Blanked(v.values[:n_rows], v.blank[:n_rows])
-            if isinstance(v, cli._Blanked) else v[:n_rows]
-            for name, v in columns.items()
-        }
-        rows = [{name: reference[name][i] for name in columns} for i in range(n_rows)]
-        assert cli._render(table, fmt) == _reference_render(rows, list(columns), fmt)
+        for table in (columns, arrays):
+            table = {
+                name: cli._Blanked(v.values[:n_rows], v.blank[:n_rows])
+                if isinstance(v, cli._Blanked) else v[:n_rows]
+                for name, v in table.items()
+            }
+            expected = _reference_render(_row_dicts(table), list(table), fmt)
+            assert _rendered(table, fmt) == expected
+            if table.keys() == arrays.keys():  # the byte path, below its row count too
+                assert "".join(cli._array_table(table, fmt)) == expected
     empty = {name: [] for name in columns}
-    assert cli._render(empty, fmt) == _reference_render([], list(columns), fmt)
+    assert _rendered(empty, fmt) == _reference_render([], list(columns), fmt)
+
+
+_ANY_FLOATS = st.integers(0, 2**64 - 1).map(lambda bits: np.uint64(bits).view(np.float64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.one_of(_ANY_FLOATS, st.floats(allow_nan=True, allow_infinity=True)),
+                    max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_array_table_matches_row_renderer_on_any_floats(values, seed, fmt):
+    """Plain and _Blanked float columns beside a bool column, as the byte path and
+    the template render them, against the dict-per-row renderer."""
+    rng = np.random.default_rng(seed)
+    x = np.array(values, dtype=np.float64)
+    columns = {
+        "x": x,
+        "blanked": cli._Blanked(x[::-1].copy(), rng.random(len(x)) < 0.3),
+        "flag": rng.random(len(x)) < 0.5,
+    }
+    expected = _reference_render(_row_dicts(columns), list(columns), fmt)
+    assert "".join(cli._array_table(columns, fmt)) == expected
+    assert cli._template_table(columns, fmt) == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_long_array_tables_take_the_byte_path_in_pieces(monkeypatch, fmt):
+    rng = np.random.default_rng(7)
+    n_rows = 2 * cli._CHUNK_ROWS + 3
+    x = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-6, 17, n_rows)
+    x[::97] = 0.0
+    columns = {"x": x, "y": cli._Blanked(-x, rng.random(n_rows) < 0.1), "f": x > 0}
+    pieces = list(cli._render(columns, fmt))
+    assert len(pieces) == 3 + 1 + (fmt == "json")  # header or "[", one per chunk, "]"
+    assert "".join(pieces) == cli._template_table(columns, fmt)
+    monkeypatch.setattr(cli, "_array_table", None)  # a short table never reaches it
+    short = {name: v[:cli._ARRAY_TABLE_ROWS - 1] for name, v in columns.items() if name != "y"}
+    assert _rendered(short, fmt) == cli._template_table(short, fmt)
+
+
+def _powers_of_ten_and_neighbours():
+    out = []
+    for e in range(-5, 17):
+        for p in (10.0**e, float(f"1e{e}")):
+            below = above = p
+            for _ in range(3):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+                out += [below, above]
+            out.append(p)
+    return out
+
+
+def test_float_cells_equal_percent_format_at_the_edges():
+    near = [1e14, 1e15, 2.0**50, 2.0**53]
+    ties = [np.floor(m) + 0.5 for c in near for m in np.linspace(c - 64, c + 64, 129)]
+    values = np.array(
+        ties + _powers_of_ten_and_neighbours()
+        + [1e-4, 9.99999999999999e-5, 999999999999999.5, 999999999999999.4, 99999999999999.95,
+           9.9999999999999995, -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+           np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny]
+    )
+    values = np.concatenate([values, -values])
+    texts = [bytes(row).replace(b"\0", b"").decode() for row in _g15.cells(values)]
+    assert texts == ["%.15g" % v for v in values.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_ANY_FLOATS, min_size=1, max_size=64))
+def test_float_cells_equal_percent_format_on_any_bits(values):
+    texts = [bytes(row).replace(b"\0", b"").decode() for row in _g15.cells(np.array(values))]
+    assert texts == ["%.15g" % v for v in values]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rendering_a_long_trajectory_streams_its_rows(tmp_path, fmt):
+    """The table is written run by run, never whole: holding its whole text at
+    once, as the %-template does, peaks at about 4.4 (csv) and 5.3 MB (json)."""
+    traj = classical.integrate_static(
+        classical.FieldState(0.3, -0.2, 0.1, 0.05), (0.0, 10.0), 1e-3, PhysicalParams(A=2.0)
+    )
+    y = traj.state_array
+    columns = {"z": traj.z_grid, "P": y[:, 0], "Q": y[:, 1], "PiP": y[:, 2],
+               "PiQ": y[:, 3], "H": traj.h_values}
+    path = tmp_path / f"out.{fmt}"
+    cli._write_output(cli._render(columns, fmt), str(path))  # once untraced: lazy imports
+    tracemalloc.start()
+    try:
+        cli._write_output(cli._render(columns, fmt), str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size
 
 
 @pytest.mark.parametrize(
@@ -271,7 +375,7 @@ def test_column_renderer_matches_row_renderer(fmt):
 def test_numpy_bools_render_as_bools(fmt, expected):
     flag = np.bool_(fmt == "csv")
     columns = {"flag": [flag], "flags": [[np.bool_(True), np.bool_(False)]]}
-    assert cli._render(columns, fmt) == expected
+    assert _rendered(columns, fmt) == expected
 
 
 # --- exit codes ------------------------------------------------------------------
@@ -404,6 +508,15 @@ def test_negative_sample_count_is_a_domain_error(capsys):
     code, out, err = run_cli(capsys, "mathieu", "--nu", "1", "--q", "1", "--samples", "-3")
     assert (code, out) == (2, "")
     assert "--samples" in err
+
+
+# none of these counts can be allocated: 8 PB, beyond numpy's size limit, and
+# 2**63 - 1 and 2**63, for which linspace returns an empty grid instead of failing
+@pytest.mark.parametrize("count", [10**15, 10**20, 2**63 - 1, 2**63])
+def test_sample_count_that_cannot_be_held_is_a_domain_error(capsys, count):
+    code, out, err = run_cli(capsys, "mathieu", "--nu", "1", "--q", "1", "--samples", str(count))
+    assert (code, out) == (2, "")
+    assert err == f"spinchain: domain error: --samples {count} cannot be held in memory\n"
 
 
 @pytest.mark.parametrize(
