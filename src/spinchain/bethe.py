@@ -327,7 +327,7 @@ def solve_level(n: int, params: PhysicalParams) -> list[BetheSolution]:
         out.append(
             BetheSolution(
                 indices=SpectralIndices(n=n, lambda_n=lam, l=float(-n), branch=k),
-                roots=tuple(roots),
+                roots=roots,
                 energy=energy(n, roots, params),
                 xi=xi_from_roots(n, roots, params),
                 residual=float(residual[k]),

@@ -75,7 +75,6 @@ _fmt = _FLOAT_SLOT.__mod__
 
 
 def _fmt_complex(z: complex) -> str:
-    z = complex(z)
     if z.imag == 0.0:
         return _fmt(z.real)
     sign = "+" if z.imag >= 0 else "-"
@@ -135,12 +134,30 @@ class _Blanked:
 _BOOL_CELLS = ("false", "true")
 
 
+def _layout(names: list[str], fmt: str) -> tuple[str, list[str], str, str]:
+    """The text of a table around its cells: before the rows, before each
+    cell of a row, after each row, and after the rows.
+
+    A JSON row ends with the ",\\n" that parts it from the next row, so the
+    last row drops it.
+    """
+    if fmt == "csv":
+        seps = ["," if j else "" for j in range(len(names))]
+        return ",".join(_csv_quoted(names)) + "\n", seps, "\n", ""
+    seps = [(", " if j else "  {") + json.dumps(name) + ": " for j, name in enumerate(names)]
+    return "[\n", seps, "},\n", "\n]\n"
+
+
 def _column_slot(values: Any, fmt: str) -> tuple[str, list]:
     """One column's row-template slot and the values it formats, in row order.
 
     Float arrays go to the template as floats, bool arrays through a lookup,
-    anything else as cells rendered one by one.
+    `_Blanked` floats as cells, anything else as cells rendered one by one.
     """
+    if isinstance(values, _Blanked):
+        blank = "" if fmt == "csv" else "null"
+        return "%s", [blank if b else _fmt(v)
+                      for v, b in zip(values.values.tolist(), values.blank.tolist())]
     if isinstance(values, np.ndarray):
         if values.dtype.kind == "f":
             return _FLOAT_SLOT, values.tolist()
@@ -155,53 +172,20 @@ def _column_slot(values: Any, fmt: str) -> tuple[str, list]:
 def _template_table(columns: dict[str, Any], fmt: str) -> str:
     """A table given column by column (name -> values, all of one length).
 
-    The table is one %-template, built from one row template per pattern of
-    blank cells and applied once to the row-interleaved values. A blank cell
-    keeps its slot, as %.0s, which takes the row's value and prints nothing.
+    Its rows are one %-template, a row template repeated once per row and
+    applied once to the row-interleaved values.
     """
-    slots, cells, blanks = [], [], {}
-    for j, values in enumerate(columns.values()):
-        if isinstance(values, _Blanked):
-            blanks[j] = values.blank
-            values = values.values
-        slot, column = _column_slot(values, fmt)
-        slots.append(slot)
-        cells.append(column)
-    if fmt == "csv":
-        blank_slot = "%.0s"
-
-        def row_template(row_slots):
-            return ",".join(row_slots)
-    else:
-        blank_slot = "null%.0s"
-        keys = [json.dumps(name).replace("%", "%%") for name in columns]
-
-        def row_template(row_slots):
-            return "  {" + ", ".join(f"{k}: {s}" for k, s in zip(keys, row_slots)) + "}"
-
-    n_rows = len(cells[0]) if cells else 0
-    if blanks:
-        # one code per row: bit k is set where the k-th blanked column is blank
-        codes = sum(mask.astype(np.int64) << k for k, mask in enumerate(blanks.values())).tolist()
-        templates = {}
-        for code in set(codes):
-            row_slots = list(slots)
-            for k, j in enumerate(blanks):
-                if code >> k & 1:
-                    row_slots[j] = blank_slot
-            templates[code] = row_template(row_slots)
-        rows = list(map(templates.__getitem__, codes))
-    else:
-        rows = [row_template(slots)] * n_rows
-    flat = [None] * (n_rows * len(cells))
-    for j, column in enumerate(cells):
-        flat[j :: len(cells)] = column
-    if fmt == "csv":
-        header = ",".join(_csv_quoted(list(columns))).replace("%", "%%")
-        template = "\n".join([header, *rows]) + "\n"
-    else:
-        template = "[\n" + ",\n".join(rows) + "\n]\n"
-    return template % tuple(flat)
+    slotted = [_column_slot(values, fmt) for values in columns.values()]
+    head, seps, end, tail = _layout(list(columns), fmt)
+    row = "".join(sep.replace("%", "%%") + slot for sep, (slot, _) in zip(seps, slotted)) + end
+    n_rows = len(slotted[0][1]) if slotted else 0
+    flat = [None] * (n_rows * len(slotted))
+    for j, (_, column) in enumerate(slotted):
+        flat[j :: len(slotted)] = column
+    rows = row * n_rows % tuple(flat)
+    if fmt == "json":
+        rows = rows.removesuffix(",\n")  # the last row's
+    return head + rows + tail
 
 
 _BOOL_BYTES = np.array(_BOOL_CELLS, dtype="S5").view(np.uint8).reshape(2, 5)
@@ -228,19 +212,13 @@ def _array_table(columns: dict[str, Any], fmt: str) -> Iterator[str]:
     """A table of float and bool array columns, as pieces of its text.
 
     Each piece is a run of rows built as one uint8 matrix: a block of
-    fixed-width, NUL-padded cells per column, between constant blocks of
-    separators and JSON keys. Dropping the NULs gives the piece's text.
+    fixed-width, NUL-padded cells per column, between the constant blocks of
+    the layout. Dropping the NULs gives the piece's text.
     """
     arrays = [(v.values, v.blank) if isinstance(v, _Blanked) else (v, None)
               for v in columns.values()]
-    if fmt == "csv":
-        yield ",".join(_csv_quoted(list(columns))) + "\n"
-        seps = [""] + [","] * (len(columns) - 1)
-        end = "\n"
-    else:
-        yield "[\n"
-        seps = [("  {" if j == 0 else ", ") + json.dumps(name) + ": " for j, name in enumerate(columns)]
-        end = "},\n"
+    head, seps, end, tail = _layout(list(columns), fmt)
+    yield head
     seps = [np.frombuffer(sep.encode(), np.uint8) for sep in seps]
     end = np.frombuffer(end.encode(), np.uint8)
     n_rows = len(arrays[0][0])
@@ -256,10 +234,10 @@ def _array_table(columns: dict[str, Any], fmt: str) -> Iterator[str]:
             rows[:, start:start + block.shape[-1]] = block
             start += block.shape[-1]
         if fmt == "json" and i + len(rows) == n_rows:
-            rows[-1, -2:] = (ord("\n"), 0)  # no comma after the last row
+            rows[-1, -2:] = 0  # the last row's ",\n"
         yield rows[rows != 0].tobytes().decode("ascii")
-    if fmt == "json":
-        yield "]\n" if n_rows else "\n]\n"
+    if tail:
+        yield tail
 
 
 def _render(columns: dict[str, Any], fmt: str) -> Iterable[str]:
@@ -471,7 +449,7 @@ def _spin_columns(w: np.ndarray, at_infinity: np.ndarray) -> dict[str, Any]:
 
 def _project_batch(path: str) -> dict[str, Any]:
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             index = {name.strip(): j for j, name in enumerate(header)}
@@ -537,7 +515,7 @@ def _spectrum_columns(params: PhysicalParams, levels: Sequence[int]) -> dict[str
         "lambda": [sol.indices.lambda_n for sol in sols],
         "l": [sol.indices.l for sol in sols],
         "branch": [sol.indices.branch for sol in sols],
-        "roots": [[complex(z) for z in sol.roots] for sol in sols],
+        "roots": [sol.roots for sol in sols],
         "energy": [sol.energy for sol in sols],
         "bethe_residual": [sol.residual for sol in sols],
     }

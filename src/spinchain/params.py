@@ -86,7 +86,7 @@ def read_params_file(path: str) -> dict[str, float]:
     """
     values: dict[str, float] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

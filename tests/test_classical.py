@@ -109,6 +109,27 @@ def test_domain_wall_matches_closed_form_at_fourth_order():
     assert np.log10(errors[0] / errors[1]) >= 3.9  # observed 4.008
 
 
+def test_elliptic_orbit_matches_closed_form_at_fourth_order():
+    """At B = 0 an L = 0 orbit from the pole with energy E < 0 is
+    sin(theta) = 2P/(1 + P^2) = c sn(sqrt(2A) z | c^2), c^2 = 1 + 4E/A
+    (DLMF 22.2): a bounded-well oracle independent of the integrator."""
+    from scipy.special import ellipj
+
+    a = 3.0
+    params = make_params(A=a)
+    start = FieldState(0.0, 0.0, 0.5, 0.0)
+    c2 = 1.0 + 4.0 * hamiltonian_density(start, params) / a
+    assert c2 == pytest.approx(1.0 / 6.0, rel=1e-14)  # E = -0.625
+    errors = []
+    for step in (1e-2, 1e-3):
+        traj = integrate_static(start, (0.0, 20.0), step, params)
+        y = traj.state_array
+        assert np.all(y[:, 1] == 0.0)
+        sn = ellipj(np.sqrt(2.0 * a) * traj.z_grid, c2)[0]
+        errors.append(np.max(np.abs(2.0 * y[:, 0] / (1.0 + y[:, 0] ** 2) - np.sqrt(c2) * sn)))
+    assert np.log10(errors[0] / errors[1]) >= 3.9  # observed 3.98
+
+
 # A start in the bounded well at B = 0: H < 0 keeps P^2 + Q^2 < 1 (V vanishes
 # only on the unit circle). Starts with H > 0 can run out towards the pole,
 # where RK4's error, and with it the drift of L, grows (3e-5 at P^2 + Q^2 ~ 4e5).

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 import re
 import subprocess
 import sys
@@ -155,6 +156,15 @@ def test_project_batch_roundtrip(tmp_path, capsys):
     rows = parse_csv(out2)
     assert [r["S3"] for r in rows] == ["1", "0", "-1"]
     assert rows[2] == {"S1": "0", "S2": "0", "S3": "-1"}
+
+
+def test_project_batch_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(b"S1,S2,S3\n0,0,1\n")
+    marked.write_bytes(b"\xef\xbb\xbfS1,S2,S3\n0,0,1\n")
+    expected = run_cli(capsys, "project", "--batch", str(plain))
+    assert expected == (0, "P,Q,at_infinity\n0,0,false\n", "")
+    assert run_cli(capsys, "project", "--batch", str(marked)) == expected
 
 
 def test_project_requires_an_input(capsys):
@@ -649,6 +659,14 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert e_override == pytest.approx(-0.5, abs=1e-12)  # flag wins
 
 
+def test_config_file_with_a_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfA = 2\n")
+    expected = run_cli(capsys, "spectrum", "--max-n", "1", "--A", "2")
+    assert expected[0] == 0
+    assert run_cli(capsys, "spectrum", "--max-n", "1", "--config", str(cfg)) == expected
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     out1 = tmp_path / "run1.csv"
     out2 = tmp_path / "run2.csv"
@@ -750,3 +768,27 @@ def test_cli_import_leaves_scipy_linalg_and_sparse_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# --- the README ------------------------------------------------------------------
+
+
+def _readme_examples():
+    """The `spinchain ...` lines of the README's `sh` blocks, as (argv, trailing comment)."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S) for line in block.splitlines()]
+    return [(command.split()[1:], comment.strip())
+            for command, _, comment in (line.partition("#") for line in lines)
+            if command.startswith("spinchain ")]
+
+
+def test_readme_examples_run(capsys):
+    examples = _readme_examples()
+    assert any(argv[0] == "inplane" for argv, _ in examples)
+    for argv, comment in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if argv[0] == "inplane":  # the comment lists the energies
+            assert [float(row["energy"]) for row in parse_csv(out)] == [
+                float(e) for e in comment.split(",")
+            ]
