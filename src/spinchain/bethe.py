@@ -253,23 +253,15 @@ def coefficient_recurrence_solutions(
     """
     coeffs = heun_coefficients(n, params)
     b0, b1, b2, c1, k0 = coeffs.b0, coeffs.b1, coeffs.b2, coeffs.c1, coeffs.c0
-    dim = n + 1
-    m = np.zeros((dim, dim))
-    for j in range(dim):
-        if j + 1 <= n:
-            m[j, j + 1] = (j + 1) * (j + b0)
-        m[j, j] = -j * (j - 1) + b1 * j + k0
-        if j >= 1:
-            m[j, j - 1] = b2 * (j - 1) + c1
+    j = np.arange(n + 1)
+    m = np.diag(-j * (j - 1) + b1 * j + k0)
+    m[j[:-1], j[1:]] = j[1:] * (j[:-1] + b0)
+    m[j[1:], j[:-1]] = b2 * j[:-1] + c1
     eigvals, eigvecs = np.linalg.eig(m)
-    solutions = []
+    xi = [_require_real(-v, "xi") for v in eigvals]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for k in range(dim):
-            s = eigvecs[:, k] / eigvecs[-1, k]
-            xi = _require_real(-eigvals[k], "xi")
-            solutions.append((xi, s))
-    solutions.sort(key=lambda t: t[0])
-    return solutions
+        s = (eigvecs / eigvecs[-1]).T
+    return [(xi[k], s[k]) for k in np.argsort(xi, kind="stable")]
 
 
 def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
@@ -296,12 +288,22 @@ def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
     coeffs = np.array([s for _, s in oracle], dtype=complex)
     # a row whose leading entry underflowed has no polynomial to seed from
     coeffs = coeffs[np.isfinite(coeffs).all(axis=-1)]
-    z, ok, res = _polish(_companion_roots(coeffs), n, a, lam)
+    z, ok, res = _newton(_companion_roots(coeffs), n, a, lam)
+    separation = _min_separation(z[ok])
+    collided = separation[separation <= DISTINCTNESS_TOL]
+    if collided.size:
+        # the ansatz requires distinct roots; a converged collision is
+        # not a discardable failure but a degenerate configuration
+        raise RootCollisionError(
+            f"converged roots collide (min separation {collided[0]:.3e}) for n = {n}"
+        )
+    # converged means bethe_residual < _NEWTON_TARGET < RESIDUAL_TOL
+    z = _canonical_order(z[ok])
     matched: dict[int, np.ndarray] = {}
-    for i, xi in zip(np.flatnonzero(ok), _branch_xi(z[ok], a, lam)):
+    for zk, xi in zip(z, _branch_xi(z, a, lam)):
         k = int(np.argmin(np.abs(xi_ref - xi)))
         if _same_xi(xi, xi_ref[k]) and k not in matched:
-            matched[k] = z[i]
+            matched[k] = zk
     if len(matched) < n + 1:
         best_residual = float(min([math.inf, *res[~ok]]))  # a NaN never wins, as in a running min
         raise IncompleteSpectrumError(
@@ -463,19 +465,19 @@ def _newton(
         finite = np.all(np.isfinite(delta.view(float)), axis=-1)
         live[rows[~finite]] = False
         rows, delta = rows[finite], delta[finite]
-        # line search: `rows` are the rows still looking for a step length t
+        # line search: `rows` are the rows still looking for a step length t. All
+        # are evaluated; one on a pole gives inf or nan and is never accepted
         t = np.ones(len(rows))
         for _ in range(14):
             z_new = z[rows] + t[:, None] * delta
-            trial = np.flatnonzero(~_near_pole(z_new, 1e-14))
-            f_new, jac_new = _bethe_system(z_new[trial], n, a, lam)
+            f_new, jac_new = _bethe_system(z_new, n, a, lam)
             norm_new = np.max(np.abs(f_new), axis=-1)
-            good = (norm_new < (1.0 - 0.25 * t[trial]) * norm[rows[trial]]) | (norm_new < _NEWTON_TARGET)
-            took, done = trial[good], rows[trial[good]]
-            z[done], f[done], jac[done], norm[done] = z_new[took], f_new[good], jac_new[good], norm_new[good]
-            left = np.ones(len(rows), dtype=bool)
-            left[took] = False
-            rows, delta, t = rows[left], delta[left], 0.5 * t[left]
+            good = ~_near_pole(z_new, 1e-14) & (
+                (norm_new < (1.0 - 0.25 * t) * norm[rows]) | (norm_new < _NEWTON_TARGET)
+            )
+            done = rows[good]
+            z[done], f[done], jac[done], norm[done] = z_new[good], f_new[good], jac_new[good], norm_new[good]
+            rows, delta, t = rows[~good], delta[~good], 0.5 * t[~good]
             if not rows.size:
                 break
         live[rows] = False  # no step length within 14 halvings decreased the residual
@@ -525,27 +527,6 @@ def _canonical_order(z: np.ndarray) -> np.ndarray:
     group = np.zeros(z.shape, dtype=int)
     group[..., 1:] = np.cumsum(~tied, axis=-1)
     return np.take_along_axis(z, np.lexsort((z.imag, group), axis=-1), axis=-1)
-
-
-def _polish(
-    z0: np.ndarray, n: int, a: float, lam: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Newton-polish each row of z0: (roots, converged, residual) per row.
-
-    Converged rows are returned in canonical order.
-    """
-    z, ok, res = _newton(z0, n, a, lam)
-    separation = _min_separation(z)
-    collided = np.flatnonzero(ok & (separation <= DISTINCTNESS_TOL))
-    if collided.size:
-        # the ansatz requires distinct roots; a converged collision is
-        # not a discardable failure but a degenerate configuration
-        raise RootCollisionError(
-            f"converged roots collide (min separation {separation[collided[0]]:.3e}) for n = {n}"
-        )
-    # converged means bethe_residual < _NEWTON_TARGET < RESIDUAL_TOL
-    z[ok] = _canonical_order(z[ok])
-    return z, ok, res
 
 
 def _branch_xi(z: np.ndarray, a: float, lam: float) -> complex | np.ndarray:

@@ -327,7 +327,6 @@ def _project_args(p: argparse.ArgumentParser) -> None:
 
 
 def _classical_args(p: argparse.ArgumentParser) -> None:
-    _add_param_flags(p)
     p.add_argument("--P", type=float, default=0.0)
     p.add_argument("--Q", type=float, default=0.0)
     p.add_argument("--PiP", type=float, default=0.0)
@@ -338,13 +337,11 @@ def _classical_args(p: argparse.ArgumentParser) -> None:
 
 
 def _spectrum_args(p: argparse.ArgumentParser) -> None:
-    _add_param_flags(p)
     p.add_argument("--max-n", type=int, required=True)
     p.set_defaults(handler=_cmd_spectrum)
 
 
 def _roots_args(p: argparse.ArgumentParser) -> None:
-    _add_param_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_roots)
 
@@ -357,34 +354,30 @@ def _mathieu_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_mathieu)
 
 
-def _energy_table_args(p: argparse.ArgumentParser, spectrum) -> None:
-    _add_param_flags(p)
+def _energy_table_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--orders", required=True, help="e.g. '0..5' or '0,0.5,1'")
     p.add_argument("--parity", choices=("ce", "se", "both"), default="ce")
-    p.set_defaults(handler=_cmd_energy_table, spectrum=spectrum)
+    p.set_defaults(handler=_cmd_energy_table)
 
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
-    _add_param_flags(p)
     p.add_argument("--suite", choices=("radial", "mathieu", "nlsm", "all"), default="all")
     p.add_argument("--n", type=int, default=None, help="emit the residual profile of level n")
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(handler=_cmd_verify)
 
 
-# each command: its name, its line in the top-level help, and what adds its
-# arguments. The spectrum functions are looked up on `mathieu` when the parser
-# is built, so a wrapper set on the module attribute after import is called.
+# each command: its name, its line in the top-level help, whether it takes the
+# physical-parameter flags, and what adds its own arguments
 _COMMANDS = (
-    ("project", "stereographic map, either direction", _project_args),
-    ("classical", "integrate the static Hamilton equations", _classical_args),
-    ("spectrum", "quasi-exact level table up to --max-n", _spectrum_args),
-    ("roots", "all root-set branches of one level", _roots_args),
-    ("mathieu", "characteristic value and eigenfunctions", _mathieu_args),
-    ("offplane", "out-of-plane energy table",
-     lambda p: _energy_table_args(p, mathieu.offplane_spectrum)),
-    ("inplane", "in-plane energy table", lambda p: _energy_table_args(p, mathieu.inplane_spectrum)),
-    ("verify", "residual suites / per-level residual profile", _verify_args),
+    ("project", "stereographic map, either direction", False, _project_args),
+    ("classical", "integrate the static Hamilton equations", True, _classical_args),
+    ("spectrum", "quasi-exact level table up to --max-n", True, _spectrum_args),
+    ("roots", "all root-set branches of one level", True, _roots_args),
+    ("mathieu", "characteristic value and eigenfunctions", False, _mathieu_args),
+    ("offplane", "out-of-plane energy table", True, _energy_table_args),
+    ("inplane", "in-plane energy table", True, _energy_table_args),
+    ("verify", "residual suites / per-level residual profile", True, _verify_args),
 )
 
 
@@ -406,9 +399,11 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     invoked = None if argv is None else next((a for a in argv if not a.startswith("-")), None)
-    for name, help_text, add_arguments in _COMMANDS:
+    for name, help_text, takes_params, add_arguments in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         if argv is None or name == invoked:
+            if takes_params:
+                _add_param_flags(p)
             add_arguments(p)
             # added last, so they close every command's usage line
             p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -555,13 +550,15 @@ def _cmd_mathieu(args: argparse.Namespace, params: None) -> dict[str, Any]:
 
 
 def _cmd_energy_table(args: argparse.Namespace, params: PhysicalParams) -> dict[str, Any]:
-    """offplane / inplane: `args.spectrum` is the reduction's spectrum function."""
+    """offplane / inplane; the spectrum function is looked up on `mathieu` per call,
+    so a wrapper set on the module attribute after import is called."""
+    spectrum = mathieu.offplane_spectrum if args.command == "offplane" else mathieu.inplane_spectrum
     orders = _parse_orders(args.orders)
     parities = ("ce", "se") if args.parity == "both" else (args.parity,)
     rows = []
     for parity in parities:
         usable = [nu for nu in orders if mathieu.has_branch(nu, parity)]
-        rows += [(nu, parity, e) for nu, e in args.spectrum(params, usable, parity)]
+        rows += [(nu, parity, e) for nu, e in spectrum(params, usable, parity)]
     rows.sort(key=lambda r: (r[0], r[1]))
     return {"nu": [r[0] for r in rows], "parity": [r[1] for r in rows],
             "energy": [r[2] for r in rows]}

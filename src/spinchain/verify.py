@@ -26,6 +26,9 @@ RADIAL_TOL = 1e-8
 MATHIEU_TOL = 1e-8
 NLSM_TOL = 1e-8
 
+#: Fourier modes of each random field path of nlsm_equivalence
+_FOURIER_MODES = 6
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -165,20 +168,19 @@ def fd_eigs_richardson(q: float, nodes: int, count: int) -> np.ndarray:
     return (4.0 * fine - coarse) / 3.0
 
 
-def _random_fourier_paths(
-    rng: np.random.Generator, samples: int, n_modes: int = 6
-) -> tuple[np.ndarray, np.ndarray]:
-    """(samples, 4, n_modes) Fourier amplitudes of smooth random (P, Q) paths, and a z on each.
+def _random_fourier_paths(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """(samples, 4, _FOURIER_MODES) Fourier amplitudes of smooth random (P, Q) paths,
+    and a z on each.
 
     Drawn path by path, amplitudes then z. Amplitudes decay as 0.4/m^2:
     decaying spectra keep the h = 1e-4 finite-difference variant within its
     O(h^2) budget while still covering an O(1) patch of the field plane.
     """
-    m = np.arange(1, n_modes + 1)
-    amps = np.empty((samples, 4, n_modes))
+    m = np.arange(1, _FOURIER_MODES + 1)
+    amps = np.empty((samples, 4, _FOURIER_MODES))
     z = np.empty(samples)
     for i in range(samples):
-        amps[i] = 0.4 * rng.normal(size=(4, n_modes)) / m**2
+        amps[i] = 0.4 * rng.normal(size=(4, _FOURIER_MODES)) / m**2
         z[i] = rng.uniform(0.0, 2.0 * np.pi)
     return amps, z
 

@@ -88,6 +88,8 @@ def test_lambda_rational_identity(n):
 def test_lambda_rejects_negative_level():
     with pytest.raises(DomainError):
         lambda_n(-1)
+    with pytest.raises(DomainError):
+        derive_lambda_from_constraints(-1)
 
 
 # --- transformation exponent branches -----------------------------------------
@@ -187,7 +189,7 @@ def test_second_level_root_sets():
 def _polish_blind(n, params, seeds):
     """Distinct branches Newton reaches from explicit seeds, with no recurrence input."""
     a, lam = params.a, lambda_n(n)
-    z, ok, _ = bethe._polish(np.array(seeds, dtype=complex), n, a, lam)
+    z, ok, _ = bethe._newton(np.array(seeds, dtype=complex), n, a, lam)
     found = []
     for zk in z[ok]:
         if not any(
@@ -241,6 +243,35 @@ def _loop_system_and_jacobian(z, n, a, lam):
                 jac[i, j] = 2.0 / (z[i] - z[j]) ** 2
                 jac[i, i] -= jac[i, j]
     return f, jac
+
+
+def _loop_recurrence_solutions(n, params):
+    """Index-loop reference for the recurrence matrix, its normalised eigenvectors and their order."""
+    c = heun_coefficients(n, params)
+    m = np.zeros((n + 1, n + 1))
+    for j in range(n + 1):
+        if j + 1 <= n:
+            m[j, j + 1] = (j + 1) * (j + c.b0)
+        m[j, j] = -j * (j - 1) + c.b1 * j + c.c0
+        if j >= 1:
+            m[j, j - 1] = c.b2 * (j - 1) + c.c1
+    eigvals, eigvecs = np.linalg.eig(m)
+    solutions = []
+    for k in range(n + 1):
+        solutions.append((bethe._require_real(-eigvals[k], "xi"), eigvecs[:, k] / eigvecs[-1, k]))
+    solutions.sort(key=lambda t: t[0])
+    return solutions
+
+
+@pytest.mark.parametrize("A", [0.5, 8.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 20])
+def test_recurrence_matrix_matches_loop_reference(n, A):
+    params = make_params(A=A)
+    got = coefficient_recurrence_solutions(n, params)
+    want = _loop_recurrence_solutions(n, params)
+    assert np.array([xi for xi, _ in got]).tobytes() == np.array([xi for xi, _ in want]).tobytes()
+    for (_, s), (_, s_ref) in zip(got, want):
+        assert s.dtype == s_ref.dtype and s.tobytes() == s_ref.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 9])
@@ -352,6 +383,29 @@ def test_failing_rows_fail_alone_in_a_mixed_stack(monkeypatch):
     # row 3 converges onto row 0's branch, so only one branch matches
     assert (info.value.found, info.value.expected) == (1, 2)
     assert info.value.best_residual == min(res[1], res[2])
+
+
+def test_a_trial_step_onto_a_pole_is_never_taken(monkeypatch):
+    """Row 0's first full Newton step lands exactly on the pole 0. That trial
+    point is never accepted: row 0 halves its step and converges, and each
+    row of the stack ends as it does alone."""
+    n, z0 = 1, np.array([[0.2], [1.9]], dtype=complex)
+    _, first_jac = bethe._bethe_system(z0[:1], n, A2.a, lambda_n(n))
+    real_solve = bethe._solve
+    onto_pole = []
+
+    def solve(jac, rhs):
+        step = real_solve(jac, rhs)
+        first = np.all(jac == first_jac[0], axis=(-2, -1))
+        step[first] = -z0[0]
+        onto_pole.append(int(first.sum()))
+        return step
+
+    monkeypatch.setattr(bethe, "_solve", solve)
+    z, ok, _ = _assert_rows_polish_alone(z0, n, A2)
+    assert sum(onto_pole) == 2  # once in the stack, once alone
+    assert ok.all()
+    assert abs(z[0, 0] - 0.1339745962155614) < 1e-9
 
 
 def test_bethe_roots_requires_easy_plane():

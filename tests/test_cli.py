@@ -634,11 +634,17 @@ def test_verify_residual_profile(capsys):
     assert list(rows[0].keys()) == ["n", "branch", "r", "residual"]
 
 
-def test_verify_writes_case_files(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "mathieu", "--out", str(tmp_path))
+@pytest.mark.parametrize(
+    "suite, radial, mathieu, rows", [("mathieu", 0, 4, 4), ("all", 6, 4, 11)], ids=["mathieu", "all"]
+)
+def test_verify_writes_case_files(tmp_path, capsys, suite, radial, mathieu, rows):
+    # one file per radial and Mathieu case; the nlsm case has no profile to write
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--out", str(tmp_path))
     assert code == 0
+    assert len(parse_csv(out)) == rows
     files = sorted(p.name for p in tmp_path.iterdir())
-    assert files and all(name.endswith(".csv") for name in files)
+    assert all(name.endswith(".csv") for name in files)
+    assert [name.split("_")[0] for name in files] == ["mathieu"] * mathieu + ["radial"] * radial
 
 
 # --- config and determinism -----------------------------------------------------

@@ -316,6 +316,12 @@ def test_theta_map_reference_points():
     assert theta_from_field(-1e12) == pytest.approx(2 * math.pi, abs=1e-11)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_theta_map_rejects_a_non_finite_field(p):
+    with pytest.raises(DomainError, match="P must be finite"):
+        theta_from_field(p)
+
+
 def test_offplane_wavefunction_uses_theta_map():
     rec = solve(1.0, -0.0625, "ce")
     assert offplane_wavefunction(rec, 0.0) == pytest.approx(float(rec(math.pi)), abs=1e-15)
@@ -329,6 +335,11 @@ def test_inplane_eigenstate_values():
     # phase advances with z at E_n = hbar^2 n^2 / 2
     val = inplane_eigenstate(2, 1.0, 0.0, 1.0, params)
     assert val == pytest.approx(complex(math.cos(2.0), math.sin(2.0)), abs=1e-15)
+    # on the Q axis the angle is +-pi/2, the P -> 0+ limit of arctan(Q/P)
+    for q in (0.5, -0.5):
+        on_axis = inplane_eigenstate(1, 0.0, q, 0.0, params)
+        assert on_axis == inplane_eigenstate(1, 1e-300, q, 0.0, params)
+        assert on_axis == math.cos(math.pi / 4)
 
 
 def test_inplane_eigenstate_circle_parametrization():

@@ -41,6 +41,11 @@ def test_wrong_energy_is_loud():
     assert wrong / clean >= 1e3
 
 
+def test_radial_residual_rejects_a_solution_of_another_level():
+    with pytest.raises(DomainError, match="solution is for n = 1, not 2"):
+        radial_residual(2, solve_level(1, A2)[0], A2)
+
+
 def test_radial_grid_must_avoid_origin():
     # radial_residual runs on its fixed grid; the check lives in bethe.radial_derivatives
     with pytest.raises(DomainError):
