@@ -152,13 +152,12 @@ def _column_slot(values: Any, fmt: str) -> tuple[str, list]:
     """One column's row-template slot and the values it formats, in row order.
 
     Float arrays go to the template as floats, bool arrays through a lookup,
-    `_Blanked` floats as cells, anything else as cells rendered one by one.
+    anything else as cells rendered one by one: `_Blanked` floats with None
+    at their blank rows.
     """
     if isinstance(values, _Blanked):
-        blank = "" if fmt == "csv" else "null"
-        return "%s", [blank if b else _fmt(v)
-                      for v, b in zip(values.values.tolist(), values.blank.tolist())]
-    if isinstance(values, np.ndarray):
+        values = [None if b else v for v, b in zip(values.values.tolist(), values.blank.tolist())]
+    elif isinstance(values, np.ndarray):
         if values.dtype.kind == "f":
             return _FLOAT_SLOT, values.tolist()
         if values.dtype.kind == "b":
@@ -323,7 +322,6 @@ def _project_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--P", type=float, default=None)
     p.add_argument("--Q", type=float, default=None)
     p.add_argument("--batch", default=None, help="CSV with (S1,S2,S3) or (P,Q) columns")
-    p.set_defaults(handler=_cmd_project)
 
 
 def _classical_args(p: argparse.ArgumentParser) -> None:
@@ -333,17 +331,14 @@ def _classical_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--PiQ", type=float, default=0.0)
     p.add_argument("--z-span", type=float, nargs=2, default=(0.0, 10.0), metavar=("Z0", "Z1"))
     p.add_argument("--step", type=float, default=1e-3)
-    p.set_defaults(handler=_cmd_classical)
 
 
 def _spectrum_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-n", type=int, required=True)
-    p.set_defaults(handler=_cmd_spectrum)
 
 
 def _roots_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_roots)
 
 
 def _mathieu_args(p: argparse.ArgumentParser) -> None:
@@ -351,34 +346,17 @@ def _mathieu_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--parity", choices=("ce", "se"), default="ce")
     p.add_argument("--samples", type=int, default=0, help="emit N samples of ce/se")
-    p.set_defaults(handler=_cmd_mathieu)
 
 
 def _energy_table_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--orders", required=True, help="e.g. '0..5' or '0,0.5,1'")
     p.add_argument("--parity", choices=("ce", "se", "both"), default="ce")
-    p.set_defaults(handler=_cmd_energy_table)
 
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", choices=("radial", "mathieu", "nlsm", "all"), default="all")
     p.add_argument("--n", type=int, default=None, help="emit the residual profile of level n")
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(handler=_cmd_verify)
-
-
-# each command: its name, its line in the top-level help, whether it takes the
-# physical-parameter flags, and what adds its own arguments
-_COMMANDS = (
-    ("project", "stereographic map, either direction", False, _project_args),
-    ("classical", "integrate the static Hamilton equations", True, _classical_args),
-    ("spectrum", "quasi-exact level table up to --max-n", True, _spectrum_args),
-    ("roots", "all root-set branches of one level", True, _roots_args),
-    ("mathieu", "characteristic value and eigenfunctions", False, _mathieu_args),
-    ("offplane", "out-of-plane energy table", True, _energy_table_args),
-    ("inplane", "in-plane energy table", True, _energy_table_args),
-    ("verify", "residual suites / per-level residual profile", True, _verify_args),
-)
 
 
 def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
@@ -399,7 +377,7 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     invoked = None if argv is None else next((a for a in argv if not a.startswith("-")), None)
-    for name, help_text, takes_params, add_arguments in _COMMANDS:
+    for name, (help_text, takes_params, add_arguments, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if argv is None or name == invoked:
             if takes_params:
@@ -605,6 +583,20 @@ def _cmd_verify(args: argparse.Namespace, params: PhysicalParams) -> dict[str, A
     }
 
 
+# each command: its line in the top-level help, whether it takes the
+# physical-parameter flags, what adds its own arguments, and its handler
+_COMMANDS = {
+    "project": ("stereographic map, either direction", False, _project_args, _cmd_project),
+    "classical": ("integrate the static Hamilton equations", True, _classical_args, _cmd_classical),
+    "spectrum": ("quasi-exact level table up to --max-n", True, _spectrum_args, _cmd_spectrum),
+    "roots": ("all root-set branches of one level", True, _roots_args, _cmd_roots),
+    "mathieu": ("characteristic value and eigenfunctions", False, _mathieu_args, _cmd_mathieu),
+    "offplane": ("out-of-plane energy table", True, _energy_table_args, _cmd_energy_table),
+    "inplane": ("in-plane energy table", True, _energy_table_args, _cmd_energy_table),
+    "verify": ("residual suites / per-level residual profile", True, _verify_args, _cmd_verify),
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -613,10 +605,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else _EXIT_OK
+    _, takes_params, _, handler = _COMMANDS[args.command]
     try:
-        # physical parameters for the commands that have the parameter flags
-        params = _build_params(args) if "config" in args else None
-        columns = args.handler(args, params)
+        columns = handler(args, _build_params(args) if takes_params else None)
         _write_output(_render(columns, args.format), args.out)
     except (DomainError, ConstraintViolationError) as exc:
         print(f"spinchain: domain error: {exc}", file=sys.stderr)

@@ -96,7 +96,7 @@ class MathieuSolutionRecord:
 
 
 def _is_integer(nu: float) -> bool:
-    return abs(nu - round(nu)) < 1e-12
+    return math.isfinite(nu) and abs(nu - round(nu)) < 1e-12
 
 
 def has_branch(nu: float, parity: str) -> bool:
@@ -164,50 +164,41 @@ def solve(nu: float, q: float, parity: str = "ce") -> MathieuSolutionRecord:
 
     if q == 0.0:
         # exact short circuit: a_nu(0) = nu^2 with a single trigonometric mode
-        a_val = nu * nu
+        a_val, freqs, coeffs = nu * nu, np.array([nu]), np.array([1.0])
         if not math.isfinite(a_val):
             raise ConvergenceError(f"a_nu = nu^2 overflows for nu={nu}, q={q}")
-        problem = MathieuProblem(nu=nu, q=q, truncation=1)
-        return MathieuSolutionRecord(
-            problem=problem,
-            a_nu=a_val,
-            parity=parity,
-            frequencies=np.array([nu]),
-            fourier_coeffs=np.array([1.0]),
-        )
-
-    size = int(2 * nu) + _MIN_SIZE
-    a_prev = None
-    try:
-        while True:
-            if size > _MAX_SIZE:
-                raise ConvergenceError(
-                    f"Mathieu truncation did not converge for nu={nu}, q={q}"
+    else:
+        size = int(2 * nu) + _MIN_SIZE
+        a_prev = None
+        try:
+            while True:
+                if size > _MAX_SIZE:
+                    raise ConvergenceError(
+                        f"Mathieu truncation did not converge for nu={nu}, q={q}"
+                    )
+                freqs, diag, off = _tridiagonal(nu, q, parity, size)
+                # eigenvalues of a Jacobi matrix never cross as q moves off 0, so
+                # the branch keeps the rank its q = 0 frequency has
+                principal = int(np.argmin(np.abs(freqs - nu)))
+                rank = int(np.count_nonzero(np.abs(freqs) < abs(freqs[principal])))
+                values, vectors = eigh_tridiagonal(
+                    diag, off, select="i", select_range=(rank, rank), tol=_BISECTION_TOL
                 )
-            freqs, diag, off = _tridiagonal(nu, q, parity, size)
-            # eigenvalues of a Jacobi matrix never cross as q moves off 0, so
-            # the branch keeps the rank its q = 0 frequency has
-            principal = int(np.argmin(np.abs(freqs - nu)))
-            rank = int(np.count_nonzero(np.abs(freqs) < abs(freqs[principal])))
-            values, vectors = eigh_tridiagonal(
-                diag, off, select="i", select_range=(rank, rank), tol=_BISECTION_TOL
-            )
-            a_val = float(values[0])
-            if a_prev is not None and abs(a_val - a_prev) < _VALUE_TOL * max(1.0, abs(a_val)):
-                break
-            a_prev = a_val
-            size *= 2
-    except np.linalg.LinAlgError as exc:  # LAPACK's bisection fails near |q| = 1e300
-        raise ConvergenceError(f"Mathieu eigensolve failed for nu={nu}, q={q}: {exc}") from None
-    coeffs = vectors[:, 0]
-    if _is_integer(nu) and parity == "ce" and round(nu) % 2 == 0:
-        coeffs[0] /= math.sqrt(2.0)  # undo the symmetrization scaling
-    coeffs = coeffs / float(np.linalg.norm(coeffs))
-    if coeffs[principal] < 0:
-        coeffs = -coeffs
-    problem = MathieuProblem(nu=nu, q=q, truncation=len(diag))
+                a_val = float(values[0])
+                if a_prev is not None and abs(a_val - a_prev) < _VALUE_TOL * max(1.0, abs(a_val)):
+                    break
+                a_prev = a_val
+                size *= 2
+        except np.linalg.LinAlgError as exc:  # LAPACK's bisection fails near |q| = 1e300
+            raise ConvergenceError(f"Mathieu eigensolve failed for nu={nu}, q={q}: {exc}") from None
+        coeffs = vectors[:, 0]
+        if _is_integer(nu) and parity == "ce" and round(nu) % 2 == 0:
+            coeffs[0] /= math.sqrt(2.0)  # undo the symmetrization scaling
+        coeffs = coeffs / float(np.linalg.norm(coeffs))
+        if coeffs[principal] < 0:
+            coeffs = -coeffs
     return MathieuSolutionRecord(
-        problem=problem,
+        problem=MathieuProblem(nu=nu, q=q, truncation=len(freqs)),
         a_nu=a_val,
         parity=parity,
         frequencies=freqs,

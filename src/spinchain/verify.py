@@ -211,6 +211,8 @@ def nlsm_equivalence(samples: int, seed: int, derivative: str = "analytic") -> f
     """
     if samples <= 0:
         raise DomainError(f"sample count must be positive, got {samples}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     if derivative not in ("analytic", "fd"):
         raise DomainError(f"derivative must be 'analytic' or 'fd', got {derivative!r}")
     amps, z = _random_fourier_paths(np.random.default_rng(seed), samples)

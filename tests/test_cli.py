@@ -464,6 +464,66 @@ def test_wide_inputs_exit_with_a_documented_code(argv):
         assert re.search(r"\b(inf|nan)", stdout.getvalue()) is None
 
 
+# flag values at and past the edges of every domain; a separate `-inf` reads as a flag
+_EDGE = st.sampled_from(
+    ["0", "-1", "0.5", "2", "1e300", "-1e300", "1e-300", "5e-324", "1e154", "nan", "inf", "-inf"]
+)
+_COUNT = st.sampled_from(["-1", "0", "1", "2", "3"])
+_PARAM_FLAGS = {"--A": _EDGE, "--B": _EDGE, "--mu": _EDGE, "--hbar": _EDGE}
+
+
+def _invocation(command, required, optional):
+    """`command` with each required flag and any of the optional ones."""
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda flags: [command] + [
+            arg for flag, value in flags.items()
+            for arg in [flag, *([value] if isinstance(value, str) else value)]
+        ]
+    )
+
+
+_ANY_INVOCATION = st.one_of(
+    _invocation("project", {}, {"--s1": _EDGE, "--s2": _EDGE, "--s3": _EDGE, "--P": _EDGE,
+                                "--Q": _EDGE}),
+    _invocation(
+        "classical",
+        # a span of at most 0.01
+        {"--z-span": st.tuples(_EDGE, st.sampled_from([0.0, 0.01, -0.01])).map(
+            lambda span: [span[0], repr(float(span[0]) + span[1])])},
+        {"--P": _EDGE, "--Q": _EDGE, "--PiP": _EDGE, "--PiQ": _EDGE, "--step": _EDGE,
+         **_PARAM_FLAGS},
+    ),
+    _invocation("spectrum", {"--max-n": _COUNT}, _PARAM_FLAGS),
+    _invocation("roots", {"--n": _COUNT}, _PARAM_FLAGS),
+    _invocation("mathieu", {"--nu": _EDGE, "--q": _EDGE},
+                {"--parity": st.sampled_from(["ce", "se"]), "--samples": _COUNT}),
+    *[
+        _invocation(command, {"--orders": st.lists(_EDGE, min_size=1, max_size=2).map(",".join)},
+                    {"--parity": st.sampled_from(["ce", "se", "both"]), **_PARAM_FLAGS})
+        for command in ("offplane", "inplane")
+    ],
+    _invocation("verify", {"--suite": st.sampled_from(["nlsm", "mathieu"])},
+                {"--n": _COUNT, "--seed": _COUNT, **_PARAM_FLAGS}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_ANY_INVOCATION)
+@example(argv=["verify", "--suite", "nlsm", "--seed", "-1"])
+@example(argv=["offplane", "--orders", "inf", "--parity", "se"])
+@example(argv=["inplane", "--orders", "nan", "--parity", "se"])
+def test_every_invocation_exits_with_a_documented_code(argv):
+    """Never a traceback: 0, 1 (a failing verify case), 2, 3 or 64; a domain or solver
+    error prints nothing on stdout and one line on stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2, 3, 64) or (code, argv[0]) == (1, "verify")
+    if code in (2, 3):
+        assert stdout.getvalue() == ""
+        assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
+
+
 @pytest.mark.parametrize(
     "spaced, joined",
     [
@@ -500,18 +560,28 @@ def test_negative_values_in_scientific_notation_are_values(capsys, spaced, joine
         (["offplane", "--A", "1", "--orders", f"{10**400}..{10**400}"], 2),
         (["project", "--s1", "0"], 2),
         (["project", "--P", "1"], 2),
+        (["verify", "--suite", "nlsm", "--seed", "-1"], 2),
+        (["verify", "--suite", "all", "--seed", "-1"], 2),
+        (["offplane", "--orders", "inf", "--parity", "se"], 2),
+        (["offplane", "--orders=-inf", "--parity", "se"], 2),
+        (["inplane", "--orders", "nan", "--parity", "se"], 2),
+        (["inplane", "--orders", "nan", "--parity", "both"], 2),
     ],
     ids=["mathieu-nu-squared", "inplane-nu-squared", "roots-field", "spectrum-field",
          "verify-level-field", "verify-suite-field", "spectrum-negative-level",
          "roots-negative-level", "orders-empty-range", "orders-empty", "orders-unbounded-offplane",
          "orders-unbounded-inplane", "orders-beyond-float", "project-spin-partial",
-         "project-field-partial"],
+         "project-field-partial", "nlsm-negative-seed", "all-negative-seed", "se-order-inf",
+         "se-order-minus-inf", "se-order-nan", "both-order-nan"],
 )
 def test_inputs_without_a_valid_table_print_none(capsys, argv, code):
     """An overflowing nu^2 is a solver error; a Bethe level at mu*B != 0, a negative
-    level, an empty order list, an order range too long to hold or beyond float range and a
-    partial point are domain errors."""
-    assert run_cli(capsys, *argv)[:2] == (code, "")
+    level, an empty order list, an order range too long to hold or beyond float range, a
+    partial point, a negative seed and a non-finite order of any parity are domain errors.
+    Each prints one line on stderr."""
+    exit_code, out, err = run_cli(capsys, *argv)
+    assert (exit_code, out) == (code, "")
+    assert err.startswith("spinchain: ") and err.count("\n") == 1
 
 
 def test_negative_sample_count_is_a_domain_error(capsys):

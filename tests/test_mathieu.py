@@ -11,6 +11,7 @@ from spinchain.errors import ConvergenceError, DomainError
 from spinchain.mathieu import (
     _tridiagonal,
     characteristic_value,
+    has_branch,
     inplane_eigenstate,
     inplane_spectrum,
     mathieu_ce,
@@ -177,6 +178,11 @@ def test_invalid_orders_rejected():
         characteristic_value(1.0, 1.0, "foo")
     with pytest.raises(DomainError):
         characteristic_value(float("nan"), 1.0)
+    # a non-finite order has a sine-type branch to ask for, and is then rejected
+    for nu in (math.nan, math.inf, -math.inf):
+        assert has_branch(nu, "se") and has_branch(nu, "ce")
+        with pytest.raises(DomainError, match="nu and q must be finite"):
+            characteristic_value(nu, 1.0, "se")
 
 
 @pytest.mark.parametrize(

@@ -220,6 +220,8 @@ def test_nlsm_equivalence_rejects_bad_args():
         nlsm_equivalence(0, seed=1)
     with pytest.raises(DomainError):
         nlsm_equivalence(10, seed=1, derivative="spline")
+    with pytest.raises(DomainError, match="seed must be non-negative"):
+        nlsm_equivalence(10, seed=-1)
 
 
 # --- suite runner ----------------------------------------------------------------
