@@ -127,8 +127,8 @@ def integrate_static(
     runs on Python floats, one initial condition at a time.
     """
     z0, z1 = float(z_span[0]), float(z_span[1])
-    if not step > 0:
-        raise DomainError(f"step must be positive, got {step!r}")
+    if not 0 < step < math.inf:
+        raise DomainError(f"step must be positive and finite, got {step!r}")
     if not z1 > z0:
         raise DomainError("z_span must be increasing")
     count = (z1 - z0) / step

@@ -21,7 +21,7 @@ import operator
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -277,14 +277,14 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key = value parameter file")
 
 
-def _build_params(args: argparse.Namespace) -> PhysicalParams:
-    values = {"A": 0.0}  # B, mu and hbar default as in PhysicalParams
+def _build_params(args: argparse.Namespace, default_a: float) -> PhysicalParams:
+    values = {"A": default_a}  # B, mu and hbar default as in PhysicalParams
     if args.config:
         values.update(read_params_file(args.config))
-    for key in ("A", "B", "mu", "hbar"):
-        flag = getattr(args, key, None)
+    for field in fields(PhysicalParams):
+        flag = getattr(args, field.name)
         if flag is not None:
-            values[key] = flag
+            values[field.name] = flag
     return PhysicalParams(**values)
 
 
@@ -377,10 +377,10 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     invoked = None if argv is None else next((a for a in argv if not a.startswith("-")), None)
-    for name, (help_text, takes_params, add_arguments, _) in _COMMANDS.items():
+    for name, (help_text, default_a, add_arguments, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if argv is None or name == invoked:
-            if takes_params:
+            if default_a is not None:
                 _add_param_flags(p)
             add_arguments(p)
             # added last, so they close every command's usage line
@@ -562,8 +562,6 @@ def _cmd_verify(args: argparse.Namespace, params: PhysicalParams) -> dict[str, A
             "residual": np.concatenate([rep.residuals for _, rep in reports]),
         }
 
-    if args.A is None and args.config is None:
-        params = replace(params, A=2.0)  # the suite's reference anisotropy
     cases = verify.run_suite(args.suite, params, seed=args.seed)
     if args.out is not None and os.path.isdir(args.out):
         for c in cases:
@@ -583,17 +581,17 @@ def _cmd_verify(args: argparse.Namespace, params: PhysicalParams) -> dict[str, A
     }
 
 
-# each command: its line in the top-level help, whether it takes the
-# physical-parameter flags, what adds its own arguments, and its handler
+# each command: its line in the top-level help, its default A (None: no parameter
+# flags; verify's is the suite's reference anisotropy), its argument filler and handler
 _COMMANDS = {
-    "project": ("stereographic map, either direction", False, _project_args, _cmd_project),
-    "classical": ("integrate the static Hamilton equations", True, _classical_args, _cmd_classical),
-    "spectrum": ("quasi-exact level table up to --max-n", True, _spectrum_args, _cmd_spectrum),
-    "roots": ("all root-set branches of one level", True, _roots_args, _cmd_roots),
-    "mathieu": ("characteristic value and eigenfunctions", False, _mathieu_args, _cmd_mathieu),
-    "offplane": ("out-of-plane energy table", True, _energy_table_args, _cmd_energy_table),
-    "inplane": ("in-plane energy table", True, _energy_table_args, _cmd_energy_table),
-    "verify": ("residual suites / per-level residual profile", True, _verify_args, _cmd_verify),
+    "project": ("stereographic map, either direction", None, _project_args, _cmd_project),
+    "classical": ("integrate the static Hamilton equations", 0.0, _classical_args, _cmd_classical),
+    "spectrum": ("quasi-exact level table up to --max-n", 0.0, _spectrum_args, _cmd_spectrum),
+    "roots": ("all root-set branches of one level", 0.0, _roots_args, _cmd_roots),
+    "mathieu": ("characteristic value and eigenfunctions", None, _mathieu_args, _cmd_mathieu),
+    "offplane": ("out-of-plane energy table", 0.0, _energy_table_args, _cmd_energy_table),
+    "inplane": ("in-plane energy table", 0.0, _energy_table_args, _cmd_energy_table),
+    "verify": ("residual suites / per-level residual profile", 2.0, _verify_args, _cmd_verify),
 }
 
 
@@ -605,9 +603,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else _EXIT_OK
-    _, takes_params, _, handler = _COMMANDS[args.command]
+    _, default_a, _, handler = _COMMANDS[args.command]
     try:
-        columns = handler(args, _build_params(args) if takes_params else None)
+        columns = handler(args, None if default_a is None else _build_params(args, default_a))
         _write_output(_render(columns, args.format), args.out)
     except (DomainError, ConstraintViolationError) as exc:
         print(f"spinchain: domain error: {exc}", file=sys.stderr)

@@ -14,14 +14,14 @@ still run. Operations that actually need `a` raise DomainError lazily.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Anisotropy A, transverse field B, gyromagnetic ratio mu, and hbar.
+    """Anisotropy A, transverse field B, gyromagnetic ratio mu and hbar, as floats.
 
     B and mu only ever appear through the product mu*B, so no convention
     for their individual normalization is imposed.
@@ -33,10 +33,11 @@ class PhysicalParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("A", "B", "mu", "hbar"):
-            v = getattr(self, name)
+        for field in fields(self):
+            v = float(getattr(self, field.name))
+            object.__setattr__(self, field.name, v)
             if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v!r}")
+                raise DomainError(f"{field.name} must be finite, got {v!r}")
         if self.hbar <= 0:
             raise DomainError(f"hbar must be positive, got {self.hbar!r}")
         # every formula divides by hbar^2 (Python's float ** raises on overflow)
@@ -70,19 +71,15 @@ class PhysicalParams:
         return self.muB / (4.0 * self.hbar**2)
 
 
-def make_params(
-    A: float, B: float = 0.0, mu: float = 1.0, hbar: float = 1.0
-) -> PhysicalParams:
-    """Validated parameter record; see PhysicalParams for the lazy-A rule."""
-    return PhysicalParams(A=float(A), B=float(B), mu=float(mu), hbar=float(hbar))
+make_params = PhysicalParams  # the record's public alias
 
 
 def read_params_file(path: str) -> dict[str, float]:
     """Parse a plain `key = value` parameter file.
 
-    Blank lines and lines starting with '#' are ignored. Recognized keys:
-    A, B, mu, hbar. Unknown keys raise DomainError so typos do not pass
-    silently.
+    Blank lines and lines starting with '#' are ignored. The keys are the
+    fields of PhysicalParams; unknown keys raise DomainError so typos do not
+    pass silently.
     """
     values: dict[str, float] = {}
     try:
@@ -95,7 +92,7 @@ def read_params_file(path: str) -> dict[str, float]:
                     raise DomainError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
                 key, _, val = line.partition("=")
                 key = key.strip()
-                if key not in ("A", "B", "mu", "hbar"):
+                if key not in {field.name for field in fields(PhysicalParams)}:
                     raise DomainError(f"{path}:{lineno}: unknown parameter {key!r}")
                 try:
                     values[key] = float(val.strip())

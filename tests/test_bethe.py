@@ -512,11 +512,11 @@ def test_newton_and_recurrence_routes_agree(n, a):
         assert abs(e_n - e_o) < 1e-10
 
 
-# A = 2 a^2 is 0.1, 0.5, 2 and 8: the range over which the README says levels are complete
+# A = 2 a^2 is 0.1, 0.5, 2 and 8, the ends and two inner points of the scanned range
 @pytest.mark.parametrize("a", [math.sqrt(0.05), 0.5, 1.0, 2.0])
-@pytest.mark.parametrize("n", [*range(21), 32])
+@pytest.mark.parametrize("n", [*range(27), 32])
 def test_levels_are_complete(n, a):
-    """Every level up to n = 20, and n = 32, has all n + 1 branches, each
+    """Every level up to n = 26, and n = 32, has all n + 1 branches, each
     matching one recurrence eigenvalue and solving both the Bethe system
     and the radial equation."""
     params = params_for_a(a)

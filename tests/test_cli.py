@@ -69,6 +69,23 @@ def test_roots_command_lists_both_branches(capsys):
     assert all(float(r["bethe_residual"]) < 1e-10 for r in rows)
 
 
+# the first incomplete levels of a 400-point log-spaced scan of A in [0.1, 8]
+@pytest.mark.parametrize(
+    "n, a",
+    [(27, 4.231071259502222), (28, 0.1849695964479001), (28, 1.2921955408157968),
+     (28, 6.93560815884005), (29, 3.215208286647441), (30, 0.39464457422082627),
+     (30, 1.1835075840886913)],
+)
+def test_levels_past_the_domain_are_complete_or_exit_3(capsys, n, a):
+    """Every branch, or exit 3 with nothing on stdout and one line on stderr."""
+    code, out, err = run_cli(capsys, "roots", "--n", str(n), "--A", repr(a))
+    if code == 0:
+        assert len(parse_csv(out)) == n + 1
+    else:
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "solver error" in err
+
+
 def test_spectrum_requires_positive_anisotropy(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--max-n", "1")
     assert code == 2
@@ -512,6 +529,7 @@ _ANY_INVOCATION = st.one_of(
 @example(argv=["verify", "--suite", "nlsm", "--seed", "-1"])
 @example(argv=["offplane", "--orders", "inf", "--parity", "se"])
 @example(argv=["inplane", "--orders", "nan", "--parity", "se"])
+@example(argv=["classical", "--z-span", "0", "0.01", "--step", "inf"])
 def test_every_invocation_exits_with_a_documented_code(argv):
     """Never a traceback: 0, 1 (a failing verify case), 2, 3 or 64; a domain or solver
     error prints nothing on stdout and one line on stderr."""
@@ -694,6 +712,16 @@ def test_verify_suite_keeps_the_physical_flags(capsys):
     assert code == 0
     assert run_cli(capsys, "verify", "--suite", "radial", "--hbar", "2", "--A", "2") == (0, out, "")
     assert run_cli(capsys, "verify", "--suite", "radial")[1] != out
+
+
+def test_verify_runs_at_a_2_unless_a_is_set(tmp_path, capsys):
+    """A level profile without --A, and a suite whose --config file sets no A, run at A = 2."""
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("hbar = 1\n")
+    for argv in (["verify", "--n", "1"], ["verify", "--suite", "radial", "--config", str(cfg)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, *argv, "--A", "2") == (0, out, "")
 
 
 def test_verify_residual_profile(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinchain import stereo
+from spinchain import stereo, verify
 from spinchain.bethe import radial_derivatives, solve_level
 from spinchain.errors import ConvergenceError, DomainError
 from spinchain.mathieu import characteristic_value, solve
@@ -231,8 +231,19 @@ def test_full_suite_passes():
     cases = run_suite("all", A2)
     assert len(cases) >= 8
     assert all(c.passed for c in cases)
+    assert [c.name for c in cases if c.name.startswith("nlsm")] == [cases[-1].name]
 
 
 def test_unknown_suite_rejected():
     with pytest.raises(DomainError):
         run_suite("everything", A2)
+
+
+def test_negative_seed_fails_before_any_case_runs(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a case ran before the seed was checked")
+
+    monkeypatch.setattr(verify, "solve_level", unexpected)
+    monkeypatch.setattr(verify._mathieu, "solve", unexpected)
+    with pytest.raises(DomainError, match="seed must be non-negative"):
+        run_suite("all", A2, seed=-1)
