@@ -277,6 +277,9 @@ def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
     system with residual below 1e-10 and has pairwise-distinct roots. Only
     mu*B = 0 reduces to it.
     """
+    # past numpy's index range not even the (n + 1, n, n) complex seed stack can be made
+    if 16 * (n + 1) * n * n > np.iinfo(np.intp).max:
+        raise DomainError(f"level n = {n} is too large to hold in memory")
     lam = lambda_n(n)
     if params.muB != 0:
         raise DomainError(f"the Bethe reduction needs mu*B = 0, got {params.muB!r}")

@@ -70,8 +70,7 @@ class _Parser(argparse.ArgumentParser):
 # formatting
 
 
-_FLOAT_SLOT = "%.15g"  # the one float format: 15 significant digits
-_fmt = _FLOAT_SLOT.__mod__
+_fmt = "%.15g".__mod__  # the one float format: 15 significant digits
 
 
 def _fmt_complex(z: complex) -> str:
@@ -131,9 +130,6 @@ class _Blanked:
     blank: np.ndarray
 
 
-_BOOL_CELLS = ("false", "true")
-
-
 def _layout(names: list[str], fmt: str) -> tuple[str, list[str], str, str]:
     """The text of a table around its cells: before the rows, before each
     cell of a row, after each row, and after the rows.
@@ -148,84 +144,59 @@ def _layout(names: list[str], fmt: str) -> tuple[str, list[str], str, str]:
     return "[\n", seps, "},\n", "\n]\n"
 
 
-def _column_slot(values: Any, fmt: str) -> tuple[str, list]:
-    """One column's row-template slot and the values it formats, in row order.
+_BOOL_BYTES = np.array(["false", "true"], dtype="S5").view(np.uint8).reshape(2, 5)
+_NULL_BYTES = np.frombuffer(b"null", np.uint8)
+_CHUNK_ROWS = 2048  # rows per piece of a table, which bounds its memory
 
-    Float arrays go to the template as floats, bool arrays through a lookup,
-    anything else as cells rendered one by one: `_Blanked` floats with None
-    at their blank rows.
+
+def _cells(values: Any, part: slice, fmt: str) -> np.ndarray:
+    """The cells of one column's rows `part` as a NUL-padded (rows, width) uint8 matrix.
+
+    Float arrays (`_Blanked` ones included) are formatted all at once and
+    bool arrays looked up; any other column is rendered cell by cell.
     """
+    blank = None
     if isinstance(values, _Blanked):
-        values = [None if b else v for v, b in zip(values.values.tolist(), values.blank.tolist())]
-    elif isinstance(values, np.ndarray):
-        if values.dtype.kind == "f":
-            return _FLOAT_SLOT, values.tolist()
+        values, blank = values.values, values.blank[part]
+    values = values[part]
+    if isinstance(values, np.ndarray):
         if values.dtype.kind == "b":
-            return "%s", list(map(_BOOL_CELLS.__getitem__, values.tolist()))
+            return np.take(_BOOL_BYTES, values.astype(np.intp), axis=0)
+        if values.dtype.kind == "f":
+            cells = _g15.cells(values)
+            if blank is not None:
+                cells[blank] = 0
+                if fmt == "json":
+                    cells[blank, :4] = _NULL_BYTES
+            return cells
         values = values.tolist()
     if fmt == "csv":
-        return "%s", _csv_quoted([_csv_cell(v) for v in values])
-    return "%s", [_json_value(v) for v in values]
+        texts = _csv_quoted([_csv_cell(v) for v in values])
+    else:
+        texts = [_json_value(v) for v in values]
+    packed = np.array([text.encode() for text in texts], dtype=bytes)
+    return packed.view(np.uint8).reshape(len(packed), packed.itemsize)
 
 
-def _template_table(columns: dict[str, Any], fmt: str) -> str:
-    """A table given column by column (name -> values, all of one length).
+def _render(columns: dict[str, Any], fmt: str) -> Iterator[str]:
+    """A table given column by column (name -> values, all of one length), as
+    pieces of its text.
 
-    Its rows are one %-template, a row template repeated once per row and
-    applied once to the row-interleaved values.
+    Each piece after the layout's head is a run of rows built as one uint8
+    matrix: a block of fixed-width, NUL-padded cells per column, between the
+    constant blocks of the layout. Dropping the NULs gives the piece's text.
     """
-    slotted = [_column_slot(values, fmt) for values in columns.values()]
-    head, seps, end, tail = _layout(list(columns), fmt)
-    row = "".join(sep.replace("%", "%%") + slot for sep, (slot, _) in zip(seps, slotted)) + end
-    n_rows = len(slotted[0][1]) if slotted else 0
-    flat = [None] * (n_rows * len(slotted))
-    for j, (_, column) in enumerate(slotted):
-        flat[j :: len(slotted)] = column
-    rows = row * n_rows % tuple(flat)
-    if fmt == "json":
-        rows = rows.removesuffix(",\n")  # the last row's
-    return head + rows + tail
-
-
-_BOOL_BYTES = np.array(_BOOL_CELLS, dtype="S5").view(np.uint8).reshape(2, 5)
-_NULL_BYTES = np.frombuffer(b"null", np.uint8)
-# From this many rows up, a table of arrays is written as bytes: below it the
-# %-template is faster, as the byte path's fixed cost per column is larger.
-_ARRAY_TABLE_ROWS = 512
-_CHUNK_ROWS = 2048  # rows per piece of an array table, which bounds its memory
-
-
-def _array_cells(values: np.ndarray, blank: np.ndarray | None, fmt: str) -> np.ndarray:
-    """A float or bool column's cells as a NUL-padded (rows, width) uint8 matrix."""
-    if values.dtype.kind == "b":
-        return np.take(_BOOL_BYTES, values.astype(np.intp), axis=0)
-    cells = _g15.cells(values)
-    if blank is not None:
-        cells[blank] = 0
-        if fmt == "json":
-            cells[blank, :4] = _NULL_BYTES
-    return cells
-
-
-def _array_table(columns: dict[str, Any], fmt: str) -> Iterator[str]:
-    """A table of float and bool array columns, as pieces of its text.
-
-    Each piece is a run of rows built as one uint8 matrix: a block of
-    fixed-width, NUL-padded cells per column, between the constant blocks of
-    the layout. Dropping the NULs gives the piece's text.
-    """
-    arrays = [(v.values, v.blank) if isinstance(v, _Blanked) else (v, None)
-              for v in columns.values()]
     head, seps, end, tail = _layout(list(columns), fmt)
     yield head
     seps = [np.frombuffer(sep.encode(), np.uint8) for sep in seps]
     end = np.frombuffer(end.encode(), np.uint8)
-    n_rows = len(arrays[0][0])
+    first = next(iter(columns.values()), ())
+    n_rows = len(first.values if isinstance(first, _Blanked) else first)
     for i in range(0, n_rows, _CHUNK_ROWS):
         part = slice(i, i + _CHUNK_ROWS)
         blocks = []
-        for sep, (values, blank) in zip(seps, arrays):
-            blocks += [sep, _array_cells(values[part], None if blank is None else blank[part], fmt)]
+        for sep, values in zip(seps, columns.values()):
+            blocks += [sep, _cells(values, part, fmt)]
         blocks.append(end)
         rows = np.empty((len(blocks[1]), sum(block.shape[-1] for block in blocks)), np.uint8)
         start = 0
@@ -234,27 +205,9 @@ def _array_table(columns: dict[str, Any], fmt: str) -> Iterator[str]:
             start += block.shape[-1]
         if fmt == "json" and i + len(rows) == n_rows:
             rows[-1, -2:] = 0  # the last row's ",\n"
-        yield rows[rows != 0].tobytes().decode("ascii")
+        yield rows[rows != 0].tobytes().decode("utf-8")
     if tail:
         yield tail
-
-
-def _render(columns: dict[str, Any], fmt: str) -> Iterable[str]:
-    """A table given column by column (name -> values, all of one length), as
-    pieces of its text.
-
-    A long table of float and bool arrays (`_Blanked` included) is written
-    as bytes, with its floats formatted all at once; any other table is one
-    %-template.
-    """
-    arrays = [v.values if isinstance(v, _Blanked) else v for v in columns.values()]
-    if (
-        arrays
-        and all(isinstance(v, np.ndarray) and v.dtype.kind in "fb" for v in arrays)
-        and len(arrays[0]) >= _ARRAY_TABLE_ROWS
-    ):
-        return _array_table(columns, fmt)
-    return (_template_table(columns, fmt),)
 
 
 def _write_output(pieces: Iterable[str], out: str | None) -> None:
@@ -609,6 +562,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         _write_output(_render(columns, args.format), args.out)
     except (DomainError, ConstraintViolationError) as exc:
         print(f"spinchain: domain error: {exc}", file=sys.stderr)
+        return _EXIT_DOMAIN
+    except MemoryError as exc:  # a count too large to hold, found on allocation
+        print(f"spinchain: domain error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return _EXIT_DOMAIN
     except (ConvergenceError, DivergenceError) as exc:
         print(f"spinchain: solver error: {exc}", file=sys.stderr)

@@ -168,7 +168,8 @@ def solve(nu: float, q: float, parity: str = "ce") -> MathieuSolutionRecord:
         if not math.isfinite(a_val):
             raise ConvergenceError(f"a_nu = nu^2 overflows for nu={nu}, q={q}")
     else:
-        size = int(2 * nu) + _MIN_SIZE
+        # capped as a float first: above about 9e307, 2 * nu is inf, which has no int
+        size = int(min(2.0 * nu, _MAX_SIZE)) + _MIN_SIZE
         a_prev = None
         try:
             while True:

@@ -413,6 +413,14 @@ def test_bethe_roots_requires_easy_plane():
         bethe_roots(1, make_params(A=-1.0))
 
 
+@pytest.mark.parametrize("n", [2**62, 2**63, 10**20])
+def test_levels_past_numpy_index_range_are_domain_errors(n):
+    """The (n + 1, n, n) complex seed stack of these levels has more bytes than numpy
+    can index, so the level is refused before any array is made."""
+    with pytest.raises(DomainError, match="too large to hold in memory"):
+        bethe_roots(n, A2)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_bethe_solve_requires_zero_field(n):
     """The reduction to the Bethe system holds only at mu*B = 0."""

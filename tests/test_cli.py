@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinchain import _g15, classical, cli, verify
+from spinchain import _g15, bethe, classical, cli, verify
 from spinchain.cli import main
 from spinchain.params import PhysicalParams
 
@@ -289,10 +289,7 @@ def test_column_renderer_matches_row_renderer(fmt):
                 if isinstance(v, cli._Blanked) else v[:n_rows]
                 for name, v in table.items()
             }
-            expected = _reference_render(_row_dicts(table), list(table), fmt)
-            assert _rendered(table, fmt) == expected
-            if table.keys() == arrays.keys():  # the byte path, below its row count too
-                assert "".join(cli._array_table(table, fmt)) == expected
+            assert _rendered(table, fmt) == _reference_render(_row_dicts(table), list(table), fmt)
     empty = {name: [] for name in columns}
     assert _rendered(empty, fmt) == _reference_render([], list(columns), fmt)
 
@@ -308,8 +305,8 @@ _ANY_FLOATS = st.integers(0, 2**64 - 1).map(lambda bits: np.uint64(bits).view(np
     fmt=st.sampled_from(["csv", "json"]),
 )
 def test_array_table_matches_row_renderer_on_any_floats(values, seed, fmt):
-    """Plain and _Blanked float columns beside a bool column, as the byte path and
-    the template render them, against the dict-per-row renderer."""
+    """Plain and _Blanked float columns beside a bool column against the dict-per-row
+    renderer."""
     rng = np.random.default_rng(seed)
     x = np.array(values, dtype=np.float64)
     columns = {
@@ -317,13 +314,11 @@ def test_array_table_matches_row_renderer_on_any_floats(values, seed, fmt):
         "blanked": cli._Blanked(x[::-1].copy(), rng.random(len(x)) < 0.3),
         "flag": rng.random(len(x)) < 0.5,
     }
-    expected = _reference_render(_row_dicts(columns), list(columns), fmt)
-    assert "".join(cli._array_table(columns, fmt)) == expected
-    assert cli._template_table(columns, fmt) == expected
+    assert _rendered(columns, fmt) == _reference_render(_row_dicts(columns), list(columns), fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_long_array_tables_take_the_byte_path_in_pieces(monkeypatch, fmt):
+def test_long_array_tables_take_the_byte_path_in_pieces(fmt):
     rng = np.random.default_rng(7)
     n_rows = 2 * cli._CHUNK_ROWS + 3
     x = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-6, 17, n_rows)
@@ -331,10 +326,32 @@ def test_long_array_tables_take_the_byte_path_in_pieces(monkeypatch, fmt):
     columns = {"x": x, "y": cli._Blanked(-x, rng.random(n_rows) < 0.1), "f": x > 0}
     pieces = list(cli._render(columns, fmt))
     assert len(pieces) == 3 + 1 + (fmt == "json")  # header or "[", one per chunk, "]"
-    assert "".join(pieces) == cli._template_table(columns, fmt)
-    monkeypatch.setattr(cli, "_array_table", None)  # a short table never reaches it
-    short = {name: v[:cli._ARRAY_TABLE_ROWS - 1] for name, v in columns.items() if name != "y"}
-    assert _rendered(short, fmt) == cli._template_table(short, fmt)
+    assert "".join(pieces) == _reference_render(_row_dicts(columns), list(columns), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_long_tables_of_any_cells_are_written_in_pieces(fmt):
+    """List, int, complex-root, string, _Blanked and bool columns are cut into the same
+    runs of rows as float arrays (`verify --n 20` prints 2121 rows with two list columns)."""
+    rng = np.random.default_rng(11)
+    n_rows = 2 * cli._CHUNK_ROWS + 3
+    x = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-6, 17, n_rows)
+    roots = [tuple(complex(re, im) for re, im in zip(x[i:i + k], x[::-1][i:i + k] * (k % 2)))
+             for i, k in enumerate(rng.integers(0, 4, n_rows))]
+    columns = {
+        "n": [int(k) for k in rng.integers(-5, 40, n_rows)],
+        "ints": np.arange(n_rows) - 7,
+        "roots": roots,
+        "root": [r[0] if r else None for r in roots],
+        "parity": [("ce", "se", "a,b", 'q"')[k] for k in rng.integers(0, 4, n_rows)],
+        "energy": x.tolist(),
+        "blanked": cli._Blanked(-x, rng.random(n_rows) < 0.1),
+        "passed": x > 0,
+        "flags": [bool(v) for v in x < 0],
+    }
+    pieces = list(cli._render(columns, fmt))
+    assert len(pieces) == 3 + 1 + (fmt == "json")  # header or "[", one per chunk, "]"
+    assert "".join(pieces) == _reference_render(_row_dicts(columns), list(columns), fmt)
 
 
 def _powers_of_ten_and_neighbours():
@@ -373,7 +390,7 @@ def test_float_cells_equal_percent_format_on_any_bits(values):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_rendering_a_long_trajectory_streams_its_rows(tmp_path, fmt):
     """The table is written run by run, never whole: holding its whole text at
-    once, as the %-template does, peaks at about 4.4 (csv) and 5.3 MB (json)."""
+    once peaks at about 4.4 (csv) and 5.3 MB (json)."""
     traj = classical.integrate_static(
         classical.FieldState(0.3, -0.2, 0.1, 0.05), (0.0, 10.0), 1e-3, PhysicalParams(A=2.0)
     )
@@ -530,6 +547,11 @@ _ANY_INVOCATION = st.one_of(
 @example(argv=["offplane", "--orders", "inf", "--parity", "se"])
 @example(argv=["inplane", "--orders", "nan", "--parity", "se"])
 @example(argv=["classical", "--z-span", "0", "0.01", "--step", "inf"])
+@example(argv=["roots", "--n", str(2**62), "--A", "2"])
+@example(argv=["roots", "--n", str(2**63), "--A", "2"])
+@example(argv=["mathieu", "--nu", "1e308", "--q", "1"])
+@example(argv=["offplane", "--A", "2", "--orders", "1e308"])
+@example(argv=["inplane", "--B", "1", "--orders", "1.7e308"])
 def test_every_invocation_exits_with_a_documented_code(argv):
     """Never a traceback: 0, 1 (a failing verify case), 2, 3 or 64; a domain or solver
     error prints nothing on stdout and one line on stderr."""
@@ -584,22 +606,48 @@ def test_negative_values_in_scientific_notation_are_values(capsys, spaced, joine
         (["offplane", "--orders=-inf", "--parity", "se"], 2),
         (["inplane", "--orders", "nan", "--parity", "se"], 2),
         (["inplane", "--orders", "nan", "--parity", "both"], 2),
+        (["roots", "--n", str(2**62), "--A", "2"], 2),
+        (["roots", "--n", str(2**63), "--A", "2"], 2),
+        (["mathieu", "--nu", "1e308", "--q", "1"], 3),
+        (["offplane", "--A", "2", "--orders", "1e308"], 3),
+        (["inplane", "--B", "1", "--orders", "1.7e308"], 3),
     ],
     ids=["mathieu-nu-squared", "inplane-nu-squared", "roots-field", "spectrum-field",
          "verify-level-field", "verify-suite-field", "spectrum-negative-level",
          "roots-negative-level", "orders-empty-range", "orders-empty", "orders-unbounded-offplane",
          "orders-unbounded-inplane", "orders-beyond-float", "project-spin-partial",
          "project-field-partial", "nlsm-negative-seed", "all-negative-seed", "se-order-inf",
-         "se-order-minus-inf", "se-order-nan", "both-order-nan"],
+         "se-order-minus-inf", "se-order-nan", "both-order-nan", "roots-level-2-62",
+         "roots-level-2-63", "mathieu-order-1e308", "offplane-order-1e308",
+         "inplane-order-1.7e308"],
 )
 def test_inputs_without_a_valid_table_print_none(capsys, argv, code):
     """An overflowing nu^2 is a solver error; a Bethe level at mu*B != 0, a negative
     level, an empty order list, an order range too long to hold or beyond float range, a
-    partial point, a negative seed and a non-finite order of any parity are domain errors.
-    Each prints one line on stderr."""
+    partial point, a negative seed, a non-finite order of any parity and a Bethe level
+    beyond numpy's index range are domain errors; an order whose first truncation size
+    overflows is a solver error. Each prints one line on stderr."""
     exit_code, out, err = run_cli(capsys, *argv)
     assert (exit_code, out) == (code, "")
     assert err.startswith("spinchain: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [("Unable to allocate 74.5 GiB for an array", "Unable to allocate 74.5 GiB for an array"),
+     ("", "out of memory")],
+    ids=["numpy", "bare"],
+)
+@pytest.mark.parametrize("argv", [["roots", "--n", "100000", "--A", "2"], ["verify", "--n", "100000"]],
+                         ids=["roots", "verify"])
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, argv, message, line):
+    """A count too large to hold that only the allocation finds (`roots --n 100000` asks
+    for 74.5 GiB) is a domain error, not a traceback. The allocation is faked here."""
+    def unable(n, params):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(bethe, "coefficient_recurrence_solutions", unable)
+    assert run_cli(capsys, *argv) == (2, "", f"spinchain: domain error: {line}\n")
 
 
 def test_negative_sample_count_is_a_domain_error(capsys):

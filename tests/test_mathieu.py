@@ -186,10 +186,12 @@ def test_invalid_orders_rejected():
 
 
 @pytest.mark.parametrize(
-    "nu, q", [(1e200, 0.0), (1e300, 0.0), (1.0, 1e300), (0.0, -3.125e298)]
+    "nu, q",
+    [(1e200, 0.0), (1e300, 0.0), (1.0, 1e300), (0.0, -3.125e298), (1e308, 1.0), (1.7e308, -1.0)],
 )
 def test_overflowing_problems_are_solver_errors(nu, q):
-    """An overflowing nu^2, or a q LAPACK cannot bisect, is a solver error, not inf or a traceback."""
+    """An overflowing nu^2, a q LAPACK cannot bisect, or an order whose first truncation
+    size 2 nu + 16 overflows is a solver error, not inf or a traceback."""
     with pytest.raises(ConvergenceError):
         characteristic_value(nu, q)
 
