@@ -178,11 +178,8 @@ def bethe_residual(
     n: int, roots: Sequence[complex], params: PhysicalParams
 ) -> float:
     """Max pointwise violation of the Bethe system by a candidate root set."""
-    z = _root_array(n, roots)
-    if n == 0:
-        return 0.0
-    f, _ = _bethe_system(z, n, params.a, lambda_n(n))
-    return float(np.max(np.abs(f)))
+    f, _ = _bethe_system(_root_array(n, roots), n, params.a, lambda_n(n))
+    return float(np.max(np.abs(f), initial=0.0))
 
 
 def xi_from_roots(n: int, roots: Sequence[complex], params: PhysicalParams) -> float:
@@ -268,7 +265,7 @@ def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
     """All root-set branches of level n by damped Newton iteration.
 
     Returns one tuple of n roots per branch, sorted by the branch energy
-    (an empty list for n = 0, which has no roots). Each of the n + 1
+    (one empty root set at n = 0). Each of the n + 1
     eigenpairs of the recurrence route seeds one Newton polish from the
     roots of its polynomial, all seeds polished together as one array, and
     the polished branches must match the recurrence eigenvalues one to one
@@ -284,8 +281,6 @@ def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
     if params.muB != 0:
         raise DomainError(f"the Bethe reduction needs mu*B = 0, got {params.muB!r}")
     a = params.a  # raises for A <= 0 before any work
-    if n == 0:
-        return []
     oracle = coefficient_recurrence_solutions(n, params)
     xi_ref = np.array([xi for xi, _ in oracle])
     coeffs = np.array([s for _, s in oracle], dtype=complex)
@@ -321,12 +316,10 @@ def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
 
 def solve_level(n: int, params: PhysicalParams) -> list[BetheSolution]:
     """Solve every branch of level n and package the spectral data."""
-    root_sets = bethe_roots(n, params) or [()]  # level 0 has one, empty, root set
+    root_sets = bethe_roots(n, params)
     lam = lambda_n(n)
-    residual = np.zeros(len(root_sets))
-    if n:
-        f, _ = _bethe_system(np.array(root_sets, dtype=complex), n, params.a, lam)
-        residual = np.max(np.abs(f), axis=-1)
+    f, _ = _bethe_system(np.array(root_sets, dtype=complex), n, params.a, lam)
+    residual = np.max(np.abs(f), axis=-1, initial=0.0)
     out = []
     for k, roots in enumerate(root_sets):
         out.append(
@@ -433,8 +426,8 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     unrotated, and go to one stacked eigensolve.
     """
     n = c.shape[-1] - 1
-    if n == 1:  # solved directly, as polyroots does
-        return -c[:, :1] / c[:, 1:]
+    if n <= 1:  # solved directly, as polyroots does
+        return -c[:, :n] / c[:, n:]
     mat = np.zeros((len(c), n, n), dtype=c.dtype)
     i = np.arange(n - 1)
     mat[:, i + 1, i] = 1
@@ -457,7 +450,7 @@ def _newton(
     # nudge degenerate seeds off the poles of the system
     z[_near_pole(z, 1e-6)] += 1e-4 * (1.0 + 1.0j) * (1.0 + np.arange(n))
     f, jac = _bethe_system(z, n, a, lam)
-    norm = np.max(np.abs(f), axis=-1)
+    norm = np.max(np.abs(f), axis=-1, initial=0.0)
     live = np.ones(len(z), dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
         live &= ~(norm < _NEWTON_TARGET)
@@ -474,7 +467,7 @@ def _newton(
         for _ in range(14):
             z_new = z[rows] + t[:, None] * delta
             f_new, jac_new = _bethe_system(z_new, n, a, lam)
-            norm_new = np.max(np.abs(f_new), axis=-1)
+            norm_new = np.max(np.abs(f_new), axis=-1, initial=0.0)
             good = ~_near_pole(z_new, 1e-14) & (
                 (norm_new < (1.0 - 0.25 * t) * norm[rows]) | (norm_new < _NEWTON_TARGET)
             )
@@ -511,11 +504,11 @@ def _near_pole(z: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _min_separation(z: np.ndarray) -> np.ndarray:
-    """Smallest distance between two roots of each non-empty row (inf for one root)."""
+    """Smallest distance between two roots of each row (inf for fewer than two roots)."""
     i = np.arange(z.shape[-1])
     diff = np.abs(z[..., :, None] - z[..., None, :])
     diff[..., i, i] = math.inf
-    return diff.min(axis=(-2, -1))
+    return diff.min(axis=(-2, -1), initial=math.inf)
 
 
 def _canonical_order(z: np.ndarray) -> np.ndarray:

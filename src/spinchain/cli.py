@@ -386,6 +386,8 @@ def _project_batch(path: str) -> dict[str, Any]:
                     lines.append(reader.line_num)
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:  # a cell past the field size limit; a NUL byte before 3.11
+        raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
     if {"S1", "S2", "S3"} <= index.keys():
         return _plane_columns(_parse_cells(path, rows, lines, index, ("S1", "S2", "S3")))
     if {"P", "Q"} <= index.keys():

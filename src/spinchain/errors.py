@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: DomainError -> 2, ConvergenceError
-(including its subclasses RootCollisionError and IncompleteSpectrumError)
-and DivergenceError -> 3.
+The CLI maps these onto exit codes: DomainError and
+ConstraintViolationError -> 2, ConvergenceError (including its subclasses
+RootCollisionError and IncompleteSpectrumError) and DivergenceError -> 3.
+It also maps MemoryError (a count too large to allocate) and OSError (a
+file that cannot be read or written) to 2.
 """
 
 

@@ -137,7 +137,9 @@ def _tridiagonal(
     if n % 2 == 1:
         diag[0] += q if parity == "ce" else -q
     elif parity == "ce":
-        off[0] *= math.sqrt(2.0)
+        off[0] = q * math.sqrt(2.0)  # on Python floats, which overflow to inf without a warning
+        if math.isinf(off[0]):  # |q| above DBL_MAX/sqrt(2)
+            raise ConvergenceError(f"the coupling sqrt(2) q overflows for nu={nu}, q={q}")
     return freqs, diag, off
 
 

@@ -58,7 +58,11 @@ class PhysicalParams:
 
     @property
     def muB(self) -> float:
-        return self.mu * self.B
+        """mu*B; raises DomainError where the product overflows."""
+        mub = self.mu * self.B
+        if not math.isfinite(mub):
+            raise DomainError(f"mu*B overflows for mu = {self.mu!r}, B = {self.B!r}")
+        return mub
 
     @property
     def q_offplane(self) -> float:

@@ -100,9 +100,10 @@ def project_array(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`project` on the rows of an (N, 3) array: (N, 2) (P, Q) and at_infinity.
 
     Rows at infinity carry (0, 0). A row that is not unit length raises
-    ConstraintViolationError and one that maps to a non-finite point raises
-    DomainError, as `SpinPoint` and `ComplexFieldPoint` do; the message
-    names the first such row, counted from 0.
+    ConstraintViolationError, and one with a NaN component or that maps to
+    a non-finite point raises DomainError, as `SpinPoint` and
+    `ComplexFieldPoint` do; the message names the first such row, counted
+    from 0.
     """
     s = np.asarray(s, dtype=float).reshape(-1, 3)
     n2, non_unit = _unit_norm(s)
@@ -110,7 +111,7 @@ def project_array(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         denom = 1.0 + s[:, 2]
         at_infinity = denom == 0.0
         w = s[:, :2] / np.where(at_infinity, 1.0, denom)[:, None]
-    w[at_infinity] = 0.0
+    # tested before the pole rows are zeroed: a NaN S1 or S2 at S3 = -1 stays NaN here
     bad = np.flatnonzero(non_unit | ~np.isfinite(w).all(axis=1))
     if bad.size:
         i = int(bad[0])
@@ -119,6 +120,7 @@ def project_array(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 f"row {i}: spin vector must be unit length, |S|^2 = {float(n2[i])!r}"
             )
         raise DomainError(f"row {i}: finite field point requires finite (P, Q)")
+    w[at_infinity] = 0.0
     return w, at_infinity
 
 

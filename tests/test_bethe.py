@@ -156,7 +156,7 @@ def test_only_the_level_dependent_coefficients_are_stored():
 
 
 def test_no_roots_at_level_zero():
-    assert bethe_roots(0, A2) == []
+    assert bethe_roots(0, A2) == [()]
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -503,7 +503,7 @@ def test_recurrence_first_level_matches_closed_form():
 @pytest.mark.parametrize("n", range(6))
 def test_newton_and_recurrence_routes_agree(n, a):
     params = params_for_a(a)
-    newton_sets = [()] if n == 0 else bethe_roots(n, params)
+    newton_sets = bethe_roots(n, params)
     oracle = coefficient_recurrence_solutions(n, params)
     assert len(newton_sets) == len(oracle)
     oracle_sets = [

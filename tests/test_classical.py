@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinchain import classical
 from spinchain.classical import (
     DIVERGENCE_THRESHOLD,
     FieldState,
@@ -216,6 +217,24 @@ def test_bad_inputs_rejected():
 def test_step_count_that_cannot_be_held_is_a_domain_error(z1):
     with pytest.raises(DomainError, match="cannot be held in memory"):
         integrate_static(FieldState(0, 0, 0, 0), (0.0, z1), 1.0, FREE)
+
+
+def test_buffers_outgrowing_memory_part_way_is_a_domain_error(monkeypatch):
+    class Filling(classical.array):
+        """A buffer whose extend fails on its fifth call, as an exhausted heap would."""
+
+        calls = 0
+
+        def extend(self, values):
+            type(self).calls += 1
+            if type(self).calls > 4:
+                raise MemoryError
+            super().extend(values)
+
+    monkeypatch.setattr(classical, "array", Filling)
+    with pytest.raises(DomainError, match="RK4 steps cannot be held in memory"):
+        integrate_static(FieldState(0.1, 0, 0, 0), (0.0, 1.0), 0.1, A2)
+    assert Filling.calls == 5
 
 
 # --- scalar step against the array-per-step reference -------------------------

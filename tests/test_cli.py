@@ -214,6 +214,15 @@ def test_project_batch_empty_plane_cell_is_domain_error(tmp_path, capsys):
     assert "line 4:" in err
 
 
+def test_project_batch_overlong_cell_is_domain_error(tmp_path, capsys):
+    """A cell past the csv module's field size limit is an input error naming its line."""
+    src = tmp_path / "plane.csv"
+    src.write_text("P,Q\n" + "1" * 200000 + ",0\n")
+    code, out, err = run_cli(capsys, "project", "--batch", str(src))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f"{src}: line 2: field larger than field limit" in err
+
+
 def test_project_batch_non_finite_row_is_domain_error(tmp_path, capsys):
     src = tmp_path / "plane.csv"
     src.write_text("P,Q\n1,2\n3,nan\n4,5\n")
@@ -485,6 +494,7 @@ _HBAR_ARGV = st.builds(
 @example(argv=["offplane", "--A", "1", "--hbar", "1.3e154", "--orders", "0"])
 @example(argv=["verify", "--n", "0", "--A", "1e6", "--hbar", "1e-3"])
 @example(argv=["verify", "--n", "1", "--A", "9.9e-8", "--hbar", "9.9e-8"])
+@example(argv=["classical", "--B", "1e300", "--mu", "1e300", "--z-span", "0", "0.001", "--step", "0.003"])
 def test_wide_inputs_exit_with_a_documented_code(argv):
     """Success, a domain error or a solver error, never a traceback; stdout stays empty on
     failure, and a table printed on success has no inf or nan cell."""
@@ -500,7 +510,8 @@ def test_wide_inputs_exit_with_a_documented_code(argv):
 
 # flag values at and past the edges of every domain; a separate `-inf` reads as a flag
 _EDGE = st.sampled_from(
-    ["0", "-1", "0.5", "2", "1e300", "-1e300", "1e-300", "5e-324", "1e154", "nan", "inf", "-inf"]
+    ["0", "-1", "0.5", "2", "1e300", "-1e300", "1.3e308", "-1.3e308", "1e-300", "5e-324", "1e154",
+     "nan", "inf", "-inf"]
 )
 _COUNT = st.sampled_from(["-1", "0", "1", "2", "3"])
 _PARAM_FLAGS = {"--A": _EDGE, "--B": _EDGE, "--mu": _EDGE, "--hbar": _EDGE}
@@ -552,6 +563,13 @@ _ANY_INVOCATION = st.one_of(
 @example(argv=["mathieu", "--nu", "1e308", "--q", "1"])
 @example(argv=["offplane", "--A", "2", "--orders", "1e308"])
 @example(argv=["inplane", "--B", "1", "--orders", "1.7e308"])
+# sqrt(2) q, the first coupling of the even cosine basis, overflows past |q| = 1.271e308
+@example(argv=["mathieu", "--nu", "0", "--q", "1.3e308"])
+@example(argv=["mathieu", "--nu", "2", "--q", "1.3e308"])
+@example(argv=["mathieu", "--nu", "0", "--q", "-1.3e308"])
+@example(argv=["mathieu", "--nu", "0", "--q", "1.3e308", "--samples", "4"])
+@example(argv=["inplane", "--B", "1.4e308", "--hbar", "0.5", "--orders", "0"])
+@example(argv=["offplane", "--A", "1.7e308", "--hbar", "0.2", "--orders", "0"])
 def test_every_invocation_exits_with_a_documented_code(argv):
     """Never a traceback: 0, 1 (a failing verify case), 2, 3 or 64; a domain or solver
     error prints nothing on stdout and one line on stderr."""
@@ -611,6 +629,7 @@ def test_negative_values_in_scientific_notation_are_values(capsys, spaced, joine
         (["mathieu", "--nu", "1e308", "--q", "1"], 3),
         (["offplane", "--A", "2", "--orders", "1e308"], 3),
         (["inplane", "--B", "1", "--orders", "1.7e308"], 3),
+        (["project", "--s1", "nan", "--s2", "0", "--s3", "-1"], 2),
     ],
     ids=["mathieu-nu-squared", "inplane-nu-squared", "roots-field", "spectrum-field",
          "verify-level-field", "verify-suite-field", "spectrum-negative-level",
@@ -619,14 +638,15 @@ def test_negative_values_in_scientific_notation_are_values(capsys, spaced, joine
          "project-field-partial", "nlsm-negative-seed", "all-negative-seed", "se-order-inf",
          "se-order-minus-inf", "se-order-nan", "both-order-nan", "roots-level-2-62",
          "roots-level-2-63", "mathieu-order-1e308", "offplane-order-1e308",
-         "inplane-order-1.7e308"],
+         "inplane-order-1.7e308", "project-nan-at-pole"],
 )
 def test_inputs_without_a_valid_table_print_none(capsys, argv, code):
     """An overflowing nu^2 is a solver error; a Bethe level at mu*B != 0, a negative
     level, an empty order list, an order range too long to hold or beyond float range, a
-    partial point, a negative seed, a non-finite order of any parity and a Bethe level
-    beyond numpy's index range are domain errors; an order whose first truncation size
-    overflows is a solver error. Each prints one line on stderr."""
+    partial point, a NaN spin component at the pole, a negative seed, a non-finite order
+    of any parity and a Bethe level beyond numpy's index range are domain errors; an
+    order whose first truncation size overflows is a solver error. Each prints one line
+    on stderr."""
     exit_code, out, err = run_cli(capsys, *argv)
     assert (exit_code, out) == (code, "")
     assert err.startswith("spinchain: ") and err.count("\n") == 1

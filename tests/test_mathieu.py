@@ -196,6 +196,13 @@ def test_overflowing_problems_are_solver_errors(nu, q):
         characteristic_value(nu, q)
 
 
+@pytest.mark.parametrize("q", [1.3e308, -1.3e308])
+def test_overflowing_floquet_entry_is_a_solver_error(q):
+    """The even cosine basis couples its first mode by sqrt(2) q, which overflows here."""
+    with pytest.raises(ConvergenceError, match=r"sqrt\(2\) q overflows"):
+        solve(0.0, q)
+
+
 @pytest.mark.parametrize(
     "spectrum, params, nu",
     [

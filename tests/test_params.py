@@ -45,6 +45,12 @@ def test_non_finite_a_is_a_domain_error():
         _ = p.a
 
 
+def test_non_finite_mu_b_is_a_domain_error():
+    p = make_params(A=1.0, B=1e300, mu=1e300)
+    with pytest.raises(DomainError, match="mu\\*B overflows"):
+        _ = p.muB
+
+
 # magnitudes kept in the normal floating-point range: the 1e-15 relative
 # round-trip bound cannot survive subnormal underflow of the quotients
 positive = st.floats(min_value=1e-8, max_value=1e8)

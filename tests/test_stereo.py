@@ -203,6 +203,8 @@ def test_array_maps_reject_what_the_point_types_reject():
         ((np.inf, 0.0, 0.0), ConstraintViolationError),
         ((np.nan, 0.0, 0.0), DomainError),
         ((0.0, 0.0, np.nan), DomainError),
+        ((np.nan, 0.0, -1.0), DomainError),
+        ((0.0, np.nan, -1.0), DomainError),
     ]:
         with pytest.raises(error):
             project(SpinPoint(*bad))
@@ -220,7 +222,8 @@ def test_array_maps_reject_what_the_point_types_reject():
 @given(
     index=st.integers(min_value=0, max_value=5),
     bad=st.one_of(
-        st.sampled_from([(np.nan, 0.0, 1.0), (0.0, 0.0, np.nan), (np.inf, 0.0, 0.0)]),
+        st.sampled_from([(np.nan, 0.0, 1.0), (0.0, 0.0, np.nan), (np.inf, 0.0, 0.0),
+                         (np.nan, 0.0, -1.0), (0.0, np.nan, -1.0)]),
         st.tuples(unit_floats, unit_floats, unit_floats).filter(
             lambda v: abs(v[0] ** 2 + v[1] ** 2 + v[2] ** 2 - 1.0) > 1e-6
         ),
