@@ -10,9 +10,9 @@ value a_nu(q) is the eigenvalue branch connected to nu^2 at q = 0.
 
 For integer nu the exponent lattice contains +-nu and the q = 0 value nu^2
 is doubly degenerate; the reflection k -> -nu - k commutes with the matrix,
-so the basis is folded onto its cosine (symmetric) and sine
-(antisymmetric) combinations first. For fractional nu the full lattice is
-used and both parities share one value. Every matrix is then a Jacobi
+so the basis is folded onto its cosine (symmetric) and sine (antisymmetric)
+combinations first. Every other nu, however near an integer, takes the full
+lattice and one value for both parities. Every matrix is then a Jacobi
 matrix: tridiagonal with nonzero couplings for q != 0, so its eigenvalues
 are simple and never cross as q varies (DLMF 28.2, 28.6). The branch of
 order nu is therefore the rank of nu among the q = 0 frequencies of its
@@ -95,13 +95,9 @@ class MathieuSolutionRecord:
         return (np.cos if self.parity == "ce" else np.sin)(phase, out=phase)
 
 
-def _is_integer(nu: float) -> bool:
-    return math.isfinite(nu) and abs(nu - round(nu)) < 1e-12
-
-
 def has_branch(nu: float, parity: str) -> bool:
-    """Whether the branch exists: every order but integer 0 has a sine type."""
-    return not (parity == "se" and _is_integer(nu) and round(nu) == 0)
+    """Whether the branch exists: every order but 0 has a sine type."""
+    return not (parity == "se" and nu == 0)
 
 
 def _tridiagonal(
@@ -109,10 +105,10 @@ def _tridiagonal(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frequencies, diagonal and off-diagonal of the truncated Floquet matrix.
 
-    Fractional nu uses the full exponent lattice nu + 2k, |k| <= size, with
-    diagonal (nu + 2k)^2 and off-diagonal q; parity does not enter. Integer
-    n uses a parity-folded basis of size functions for -w'' + 2q cos(2x) w
-    = a w:
+    Any order that is not equal to an integer uses the full exponent lattice
+    nu + 2k, |k| <= size, with diagonal (nu + 2k)^2 and off-diagonal q;
+    parity does not enter. An order equal to an integer n uses a
+    parity-folded basis of size functions for -w'' + 2q cos(2x) w = a w:
 
       cosine, n even: w = sum_{j>=0} A_j cos(2jx); the A_0 row is
         symmetrized by A_0 -> A_0 sqrt(2), giving off-diagonals
@@ -123,10 +119,12 @@ def _tridiagonal(
 
     The returned frequencies are those of the q = 0 basis functions.
     """
-    if not _is_integer(nu):
+    if not nu.is_integer():
+        # one ulp from an integer m, (m - d)^2 and (m + d)^2 are still distinct
+        # doubles, so the rank rule picks the order's own band on this lattice
         freqs = nu + 2.0 * np.arange(-size, size + 1)
         return freqs, freqs**2, np.full(2 * size, q)
-    n = int(round(nu))
+    n = int(nu)
     if n % 2 == 1:
         start = 1.0
     else:
@@ -195,7 +193,7 @@ def solve(nu: float, q: float, parity: str = "ce") -> MathieuSolutionRecord:
         except np.linalg.LinAlgError as exc:  # LAPACK's bisection fails near |q| = 1e300
             raise ConvergenceError(f"Mathieu eigensolve failed for nu={nu}, q={q}: {exc}") from None
         coeffs = vectors[:, 0]
-        if _is_integer(nu) and parity == "ce" and round(nu) % 2 == 0:
+        if parity == "ce" and nu % 2 == 0:
             coeffs[0] /= math.sqrt(2.0)  # undo the symmetrization scaling
         coeffs = coeffs / float(np.linalg.norm(coeffs))
         if coeffs[principal] < 0:

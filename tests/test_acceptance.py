@@ -145,7 +145,7 @@ def test_criterion_05_oracle_equivalence():
     for a in (0.5, 1.0, 2.0):
         params = make_params(A=2.0 * a * a)
         for n in range(6):
-            newton_sets = [()] if n == 0 else bethe_roots(n, params)
+            newton_sets = bethe_roots(n, params)
             oracle = coefficient_recurrence_solutions(n, params)
             assert len(newton_sets) == len(oracle)
             oracle_sets = [

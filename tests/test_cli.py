@@ -116,6 +116,32 @@ def test_mathieu_value(capsys):
     assert float(row["a_nu"]) == pytest.approx(1.8591080725143634, abs=1e-10)
 
 
+def test_orders_next_to_an_integer_are_fractional(capsys):
+    # a_1(q) and b_1(q) at q = -1/16: only the exact integer 1 splits into two values
+    code, out, _ = run_cli(capsys, "offplane", "--A", "2", "--parity", "both",
+                           "--orders", "0,1e-13,0.9999999999999,1,1.0000000000001")
+    assert code == 0
+    rows = parse_csv(out)
+    assert [(r["nu"], r["parity"]) for r in rows] == [
+        ("0", "ce"), ("1e-13", "ce"), ("1e-13", "se"), ("0.9999999999999", "ce"),
+        ("0.9999999999999", "se"), ("1", "ce"), ("1", "se"), ("1.0000000000001", "ce"),
+        ("1.0000000000001", "se"),
+    ]
+    energy = {(r["nu"], r["parity"]): r["energy"] for r in rows}
+    for nu in ("1e-13", "0.9999999999999", "1.0000000000001"):
+        assert energy[nu, "ce"] == energy[nu, "se"]
+    assert energy["1", "ce"] != energy["1", "se"]
+    assert energy["0.9999999999999", "ce"] == energy["1", "ce"]
+    assert energy["1.0000000000001", "ce"] == energy["1", "se"]
+
+    code, out, _ = run_cli(capsys, "mathieu", "--nu", "1e-13", "--q", "1", "--parity", "se")
+    assert code == 0
+    assert parse_csv(out)[0]["parity"] == "se"
+    # a fractional order just below 1 lies next to b_1(1), not at a_1(1) = 1.85910807251436
+    code, out, _ = run_cli(capsys, "mathieu", "--nu", "0.9999999999999", "--q", "1")
+    assert (code, parse_csv(out)[0]["a_nu"]) == (0, "-0.110248816992095")
+
+
 def test_mathieu_samples(capsys):
     code, out, _ = run_cli(capsys, "mathieu", "--nu", "1", "--q", "0", "--samples", "4")
     assert code == 0

@@ -116,7 +116,7 @@ def _assert_in_band(nu, q):
 @settings(max_examples=300, deadline=None)
 @given(
     nu=st.floats(min_value=0.0, max_value=6.0, exclude_min=True, exclude_max=True).filter(
-        lambda nu: abs(nu - round(nu)) > 1e-9
+        lambda nu: nu != round(nu)
     ),
     log_q=st.floats(min_value=-3.0, max_value=4.0),
     sign=st.sampled_from([1.0, -1.0]),
@@ -128,6 +128,30 @@ def test_fractional_orders_stay_in_their_band(nu, log_q, sign):
 @pytest.mark.parametrize("nu, q", [(1.5, 75.0), (1.5, 100.0), (2.7, 100.0)])
 def test_fractional_orders_stay_in_their_band_at_large_q(nu, q):
     _assert_in_band(nu, q)
+
+
+def _ulps_from(m, k):
+    """The double k ulps above the integer m (below for k < 0), stepped on its bits."""
+    return float((np.float64(m).view(np.int64) + k).view(np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(min_value=0, max_value=5),
+    k=st.integers(min_value=1, max_value=2**40),
+    below=st.booleans(),
+    log_q=st.floats(min_value=-3.0, max_value=4.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_orders_ulps_from_an_integer_are_fractional(m, k, below, log_q, sign):
+    """An order 1 to 2**40 ulps off an integer is solved as the fractional order it
+    is: in its own band, one value for both parities, and even in q."""
+    nu = _ulps_from(m, -k if below and m > 0 else k)
+    q = sign * 10.0**log_q
+    _assert_in_band(nu, q)
+    a_nu = characteristic_value(nu, q, "ce")
+    assert characteristic_value(nu, q, "se") == a_nu
+    assert characteristic_value(nu, -q, "ce") == a_nu
 
 
 @pytest.mark.parametrize(
