@@ -444,11 +444,12 @@ def _newton(
 
     Every row keeps its own seed nudge, step length, line search and stop
     test, so it ends exactly as it would polished alone; a row whose
-    Jacobian is singular or whose step is not finite fails alone.
+    Jacobian is singular or whose step is not finite fails alone. Only the
+    sufficient-decrease test of the line search accepts or rejects a step.
     """
     z = z0.astype(complex)
     # nudge degenerate seeds off the poles of the system
-    z[_near_pole(z, 1e-6)] += 1e-4 * (1.0 + 1.0j) * (1.0 + np.arange(n))
+    z[_near_pole(z)] += 1e-4 * (1.0 + 1.0j) * (1.0 + np.arange(n))
     f, jac = _bethe_system(z, n, a, lam)
     norm = np.max(np.abs(f), axis=-1, initial=0.0)
     live = np.ones(len(z), dtype=bool)
@@ -458,19 +459,17 @@ def _newton(
         if not rows.size:
             break
         delta = _solve(jac[rows], -f[rows])
-        finite = np.all(np.isfinite(delta.view(float)), axis=-1)
-        live[rows[~finite]] = False
-        rows, delta = rows[finite], delta[finite]
-        # line search: `rows` are the rows still looking for a step length t. All
-        # are evaluated; one on a pole gives inf or nan and is never accepted
+        # line search: `rows` are the rows still looking for a step length t. A trial on a
+        # pole, or from a NaN or inf step (_solve's for a singular row), has a residual that
+        # is not finite and that no comparison accepts, so its row stops where it is. No
+        # step raises a row's residual above its start, and no start after the seed nudge
+        # nears the residual of a point within 1e-14 of a pole (about 5e13 at n = 1)
         t = np.ones(len(rows))
         for _ in range(14):
             z_new = z[rows] + t[:, None] * delta
             f_new, jac_new = _bethe_system(z_new, n, a, lam)
             norm_new = np.max(np.abs(f_new), axis=-1, initial=0.0)
-            good = ~_near_pole(z_new, 1e-14) & (
-                (norm_new < (1.0 - 0.25 * t) * norm[rows]) | (norm_new < _NEWTON_TARGET)
-            )
+            good = (norm_new < (1.0 - 0.25 * t) * norm[rows]) | (norm_new < _NEWTON_TARGET)
             done = rows[good]
             z[done], f[done], jac[done], norm[done] = z_new[good], f_new[good], jac_new[good], norm_new[good]
             rows, delta, t = rows[~good], delta[~good], 0.5 * t[~good]
@@ -494,12 +493,12 @@ def _solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return step
 
 
-def _near_pole(z: np.ndarray, eps: float) -> np.ndarray:
-    """Per row: two roots, or a root and 0 or 1, closer than eps (a NaN is never close)."""
+def _near_pole(z: np.ndarray) -> np.ndarray:
+    """Per row: two roots, or a root and 0 or 1, closer than 1e-6 (a NaN is never close)."""
     return (
-        (_min_separation(z) < eps)
-        | np.any(np.abs(z) < eps, axis=-1)
-        | np.any(np.abs(z - 1.0) < eps, axis=-1)
+        (_min_separation(z) < 1e-6)
+        | np.any(np.abs(z) < 1e-6, axis=-1)
+        | np.any(np.abs(z - 1.0) < 1e-6, axis=-1)
     )
 
 

@@ -450,15 +450,13 @@ def _spectrum_columns(params: PhysicalParams, levels: Sequence[int]) -> dict[str
 
 
 def _cmd_spectrum(args: argparse.Namespace, params: PhysicalParams) -> dict[str, Any]:
-    if args.max_n < 0:
+    if args.max_n < 0:  # the empty range would print an empty table
         raise DomainError(f"--max-n must be non-negative, got {args.max_n}")
     return _spectrum_columns(params, range(args.max_n + 1))
 
 
 def _cmd_roots(args: argparse.Namespace, params: PhysicalParams) -> dict[str, Any]:
-    if args.n < 0:
-        raise DomainError(f"--n must be non-negative, got {args.n}")
-    return _spectrum_columns(params, [args.n])
+    return _spectrum_columns(params, [args.n])  # bethe rejects a negative level
 
 
 def _cmd_mathieu(args: argparse.Namespace, params: None) -> dict[str, Any]:

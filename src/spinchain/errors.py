@@ -4,7 +4,8 @@ The CLI maps these onto exit codes: DomainError and
 ConstraintViolationError -> 2, ConvergenceError (including its subclasses
 RootCollisionError and IncompleteSpectrumError) and DivergenceError -> 3.
 It also maps MemoryError (a count too large to allocate) and OSError (a
-file that cannot be read or written) to 2.
+file that cannot be read or written) to 2. Of the solver errors only
+IncompleteSpectrumError carries data: `found`, `expected`, `best_residual`.
 """
 
 
@@ -22,10 +23,6 @@ class ConstraintViolationError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to converge."""
-
-    def __init__(self, message: str, best_residual: float | None = None):
-        super().__init__(message)
-        self.best_residual = best_residual
 
 
 class RootCollisionError(ConvergenceError):
@@ -48,9 +45,10 @@ class IncompleteSpectrumError(ConvergenceError):
         expected: int,
         best_residual: float | None = None,
     ):
-        super().__init__(message, best_residual=best_residual)
+        super().__init__(message)
         self.found = found
         self.expected = expected
+        self.best_residual = best_residual
 
 
 class DivergenceError(RuntimeError):

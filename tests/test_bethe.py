@@ -370,11 +370,12 @@ def test_failing_rows_fail_alone_in_a_mixed_stack(monkeypatch):
         return real_solve(jac, rhs)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    assert bethe._near_pole(z0, 1e-6).tolist() == [False, False, False, True]
+    assert bethe._near_pole(z0).tolist() == [False, False, False, True]
     z, ok, res = _assert_rows_polish_alone(z0, n, params)
     # the stalled branch, the raising row (at its seed) fail; the nudged seed converges
     assert ok.tolist() == [True, False, False, True]
     assert z[2].tobytes() == z0[2].tobytes()
+    assert res[2] == bethe_residual(n, z0[2], params)
     assert 0 < res[1] < 1e-9 < res[2]
 
     monkeypatch.setattr(bethe, "_companion_roots", lambda c: z0)
@@ -406,6 +407,35 @@ def test_a_trial_step_onto_a_pole_is_never_taken(monkeypatch):
     assert sum(onto_pole) == 2  # once in the stack, once alone
     assert ok.all()
     assert abs(z[0, 0] - 0.1339745962155614) < 1e-9
+
+
+def _apart(roots):
+    """Roots at least 1e-3 from the poles 0 and 1 and from each other."""
+    z = np.array(roots)
+    return bethe._min_separation(z) >= 1e-3 and np.all(np.abs(np.concatenate([z, z - 1.0])) >= 1e-3)
+
+
+@st.composite
+def _seed_stacks(draw):
+    n = draw(st.integers(1, 6))
+    part = st.floats(-3.0, 3.0)
+    row = st.lists(st.builds(complex, part, part), min_size=n, max_size=n).filter(_apart)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    return n, make_params(A=draw(st.floats(0.1, 8.0))), np.array(rows, dtype=complex)
+
+
+@given(stack=_seed_stacks())
+def test_newton_never_ends_a_row_above_its_start_residual(stack):
+    """Seeds this far from the poles get no nudge, and no accepted step raises a
+    row's residual, so every row ends at or below its seed's residual, and a row
+    reported converged is below the Newton target. This bound is why a trial near
+    a pole needs no rule of its own besides the decrease test."""
+    n, params, z0 = stack
+    a, lam = params.a, lambda_n(n)
+    f0, _ = bethe._bethe_system(z0, n, a, lam)
+    _, ok, res = bethe._newton(z0, n, a, lam)
+    assert np.all(res <= np.max(np.abs(f0), axis=-1))
+    assert np.all(res[ok] < bethe._NEWTON_TARGET)
 
 
 def test_bethe_roots_requires_easy_plane():

@@ -696,6 +696,12 @@ def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, argv, message, 
     assert run_cli(capsys, *argv) == (2, "", f"spinchain: domain error: {line}\n")
 
 
+def test_a_negative_level_prints_the_same_line_in_roots_and_verify(capsys):
+    line = "spinchain: domain error: level index must be non-negative, got -1\n"
+    assert run_cli(capsys, "roots", "--n", "-1") == (2, "", line)
+    assert run_cli(capsys, "verify", "--n", "-1") == (2, "", line)
+
+
 def test_negative_sample_count_is_a_domain_error(capsys):
     code, out, err = run_cli(capsys, "mathieu", "--nu", "1", "--q", "1", "--samples", "-3")
     assert (code, out) == (2, "")
