@@ -31,8 +31,8 @@ eigenproblem in xi, and a damped Newton iteration on the Bethe system. Each
 level n carries n + 1 solution branches (for n = 1 these are the two
 closed-form root branches), one per recurrence eigenvalue; roots may leave
 the real axis in conjugate pairs and are kept. The solver seeds one Newton
-polish per eigenpair and then requires the polished branches to match the
-eigenvalues one to one, so a level is returned complete or not at all.
+polish per eigenpair, and each eigenpair's seed must polish to that
+eigenvalue, so a level is returned complete or not at all.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ RESIDUAL_TOL = 1e-10
 _NEWTON_MAX_ITER = 80
 _NEWTON_TARGET = 1e-12
 
-#: two branches are the same, or a branch matches a recurrence eigenvalue,
-#: when their xi agree to this tolerance relative to max(1, |xi|)
+#: a branch matches the eigenvalue that seeded it when their xi agree to this
+#: tolerance relative to max(1, |xi|)
 _XI_MATCH_TOL = 1e-8
 
 #: real parts of roots this close, relative to max(1, |re|), sort as tied
@@ -265,14 +265,13 @@ def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
     """All root-set branches of level n by damped Newton iteration.
 
     Returns one tuple of n roots per branch, sorted by the branch energy
-    (one empty root set at n = 0). Each of the n + 1
-    eigenpairs of the recurrence route seeds one Newton polish from the
-    roots of its polynomial, all seeds polished together as one array, and
-    the polished branches must match the recurrence eigenvalues one to one
-    in xi; otherwise IncompleteSpectrumError is raised, so the result is
-    always all n + 1 branches. Every returned set satisfies the Bethe
-    system with residual below 1e-10 and has pairwise-distinct roots. Only
-    mu*B = 0 reduces to it.
+    (one empty root set at n = 0). Each of the n + 1 eigenpairs of the
+    recurrence route seeds one Newton polish from the roots of its
+    polynomial, all seeds polished together as one array, and each
+    eigenpair's seed must polish to that eigenvalue in xi; otherwise
+    IncompleteSpectrumError is raised, so the result is always all n + 1
+    branches. Every returned set satisfies the Bethe system with residual
+    below 1e-10 and has pairwise-distinct roots. Only mu*B = 0 reduces to it.
     """
     # past numpy's index range not even the (n + 1, n, n) complex seed stack can be made
     if 16 * (n + 1) * n * n > np.iinfo(np.intp).max:
@@ -285,7 +284,8 @@ def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
     xi_ref = np.array([xi for xi, _ in oracle])
     coeffs = np.array([s for _, s in oracle], dtype=complex)
     # a row whose leading entry underflowed has no polynomial to seed from
-    coeffs = coeffs[np.isfinite(coeffs).all(axis=-1)]
+    seeded = np.isfinite(coeffs).all(axis=-1)
+    xi_ref, coeffs = xi_ref[seeded], coeffs[seeded]
     z, ok, res = _newton(_companion_roots(coeffs), n, a, lam)
     separation = _min_separation(z[ok])
     collided = separation[separation <= DISTINCTNESS_TOL]
@@ -295,23 +295,19 @@ def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
         raise RootCollisionError(
             f"converged roots collide (min separation {collided[0]:.3e}) for n = {n}"
         )
-    # converged means bethe_residual < _NEWTON_TARGET < RESIDUAL_TOL
-    z = _canonical_order(z[ok])
-    matched: dict[int, np.ndarray] = {}
-    for zk, xi in zip(z, _branch_xi(z, a, lam)):
-        k = int(np.argmin(np.abs(xi_ref - xi)))
-        if _same_xi(xi, xi_ref[k]) and k not in matched:
-            matched[k] = zk
-    if len(matched) < n + 1:
+    # converged means bethe_residual < _NEWTON_TARGET < RESIDUAL_TOL; a row counts only
+    # at the eigenvalue that seeded it, so row k is branch k
+    found = int(np.sum(ok & _same_xi(_branch_xi(z, a, lam), xi_ref)))
+    if found < n + 1:
         best_residual = float(min([math.inf, *res[~ok]]))  # a NaN never wins, as in a running min
         raise IncompleteSpectrumError(
-            f"Newton polish matched {len(matched)} of {n + 1} recurrence "
+            f"Newton polish matched {found} of {n + 1} recurrence "
             f"eigenvalues for n = {n}",
-            found=len(matched),
+            found=found,
             expected=n + 1,
             best_residual=best_residual if best_residual < math.inf else None,
         )
-    return [tuple(complex(v) for v in matched[k]) for k in range(n + 1)]
+    return [tuple(complex(v) for v in zk) for zk in _canonical_order(z)]
 
 
 def solve_level(n: int, params: PhysicalParams) -> list[BetheSolution]:
@@ -442,14 +438,16 @@ def _newton(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on each row of z0: (roots, converged, residual) per row.
 
-    Every row keeps its own seed nudge, step length, line search and stop
-    test, so it ends exactly as it would polished alone; a row whose
-    Jacobian is singular or whose step is not finite fails alone. Only the
+    Every row keeps its own step length, line search and stop test, so it
+    ends exactly as it would polished alone; a row whose Jacobian is
+    singular or whose step is not finite fails alone. Only the
     sufficient-decrease test of the line search accepts or rejects a step.
+    A seed on a pole needs no rule of its own: an inf start residual accepts
+    any finite trial, and a NaN start (coincident roots) gives a NaN step,
+    so the row stops at its seed. Either way a row counts as converged only
+    below the Newton target, so the level is never returned wrong.
     """
     z = z0.astype(complex)
-    # nudge degenerate seeds off the poles of the system
-    z[_near_pole(z)] += 1e-4 * (1.0 + 1.0j) * (1.0 + np.arange(n))
     f, jac = _bethe_system(z, n, a, lam)
     norm = np.max(np.abs(f), axis=-1, initial=0.0)
     live = np.ones(len(z), dtype=bool)
@@ -462,8 +460,8 @@ def _newton(
         # line search: `rows` are the rows still looking for a step length t. A trial on a
         # pole, or from a NaN or inf step (_solve's for a singular row), has a residual that
         # is not finite and that no comparison accepts, so its row stops where it is. No
-        # step raises a row's residual above its start, and no start after the seed nudge
-        # nears the residual of a point within 1e-14 of a pole (about 5e13 at n = 1)
+        # step raises a row's residual above its start: from an inf start (a seed on a
+        # pole) any finite trial is a decrease, and from a NaN start none is
         t = np.ones(len(rows))
         for _ in range(14):
             z_new = z[rows] + t[:, None] * delta
@@ -491,15 +489,6 @@ def _solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError:
                 pass
         return step
-
-
-def _near_pole(z: np.ndarray) -> np.ndarray:
-    """Per row: two roots, or a root and 0 or 1, closer than 1e-6 (a NaN is never close)."""
-    return (
-        (_min_separation(z) < 1e-6)
-        | np.any(np.abs(z) < 1e-6, axis=-1)
-        | np.any(np.abs(z - 1.0) < 1e-6, axis=-1)
-    )
 
 
 def _min_separation(z: np.ndarray) -> np.ndarray:
@@ -530,8 +519,8 @@ def _branch_xi(z: np.ndarray, a: float, lam: float) -> complex | np.ndarray:
     return a * (lam + 1.0 + 2.0 * z.sum(axis=-1))
 
 
-def _same_xi(xi: complex, ref: complex) -> bool:
-    return abs(xi - ref) <= _XI_MATCH_TOL * max(1.0, abs(ref))
+def _same_xi(xi: complex | np.ndarray, ref: complex | np.ndarray) -> np.ndarray:
+    return np.abs(xi - ref) <= _XI_MATCH_TOL * np.maximum(1.0, np.abs(ref))
 
 
 def _root_array(n: int, roots: Sequence[complex]) -> np.ndarray:

@@ -5,7 +5,8 @@ ConstraintViolationError -> 2, ConvergenceError (including its subclasses
 RootCollisionError and IncompleteSpectrumError) and DivergenceError -> 3.
 It also maps MemoryError (a count too large to allocate) and OSError (a
 file that cannot be read or written) to 2. Of the solver errors only
-IncompleteSpectrumError carries data: `found`, `expected`, `best_residual`.
+IncompleteSpectrumError carries data: `found` (the eigenpairs whose own seed
+converged to that eigenvalue), `expected`, `best_residual`.
 """
 
 
@@ -30,12 +31,12 @@ class RootCollisionError(ConvergenceError):
 
 
 class IncompleteSpectrumError(ConvergenceError):
-    """A level solve reached fewer distinct branches than the level has.
+    """A level solve certified fewer branches than the level has.
 
-    `found` counts the branches that matched a recurrence eigenvalue and
-    `expected` is n + 1; `best_residual` is the smallest Bethe residual
-    among the Newton polishes that did not converge (None when all did,
-    but some reached an already matched or an unmatched branch).
+    `found` counts the recurrence eigenpairs whose own seed converged to
+    that eigenvalue, and `expected` is n + 1; `best_residual` is the
+    smallest Bethe residual among the Newton polishes that did not converge
+    (None when every polish converged but some reached another eigenvalue).
     """
 
     def __init__(

@@ -356,11 +356,11 @@ def test_stacked_rows_polish_as_if_alone(n, a):
 
 def test_failing_rows_fail_alone_in_a_mixed_stack(monkeypatch):
     """At A = 1e6 the upper n = 1 branch stalls in its line search at a
-    rounding-level residual above the absolute Newton target. Beside it sit
-    a row whose Jacobian solve raises and a seed on the pole 0 that needs the
-    nudge. Each fails or is nudged alone, and the other rows converge."""
+    rounding-level residual above the absolute Newton target. Beside it sits
+    a row whose Jacobian solve raises. Each fails alone, and the other row
+    converges."""
     params, n = make_params(A=1e6), 1
-    z0 = np.concatenate([_oracle_seeds(n, params), [[0.5], [0.0]]])
+    z0 = np.concatenate([_oracle_seeds(n, params), [[0.5]]])
     _, bad_jac = bethe._bethe_system(z0[2:3], n, params.a, lambda_n(n))
     real_solve = np.linalg.solve
 
@@ -370,20 +370,37 @@ def test_failing_rows_fail_alone_in_a_mixed_stack(monkeypatch):
         return real_solve(jac, rhs)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    assert bethe._near_pole(z0).tolist() == [False, False, False, True]
     z, ok, res = _assert_rows_polish_alone(z0, n, params)
-    # the stalled branch, the raising row (at its seed) fail; the nudged seed converges
-    assert ok.tolist() == [True, False, False, True]
+    # the stalled branch and the raising row (at its seed) fail
+    assert ok.tolist() == [True, False, False]
     assert z[2].tobytes() == z0[2].tobytes()
     assert res[2] == bethe_residual(n, z0[2], params)
     assert 0 < res[1] < 1e-9 < res[2]
 
-    monkeypatch.setattr(bethe, "_companion_roots", lambda c: z0)
+    # one seed per eigenpair: the raising row seeds branch 0, the stalled one branch 1
+    monkeypatch.setattr(bethe, "_companion_roots", lambda c: z0[[2, 1]])
     with pytest.raises(IncompleteSpectrumError) as info:
         bethe_roots(n, params)
-    # row 3 converges onto row 0's branch, so only one branch matches
-    assert (info.value.found, info.value.expected) == (1, 2)
+    assert (info.value.found, info.value.expected) == (0, 2)
     assert info.value.best_residual == min(res[1], res[2])
+
+
+def test_a_branch_counts_only_at_the_eigenvalue_that_seeded_it(monkeypatch):
+    """Rows 0 and 1 both converge, each to the branch the other was seeded
+    for. Every branch of the level is found, but two of them from the wrong
+    seed, so only row 2 counts and the level is not returned."""
+    real_newton = bethe._newton
+
+    def swap_first_two(z0, n, a, lam):
+        z, ok, res = real_newton(z0, n, a, lam)
+        return z[[1, 0, 2]], ok[[1, 0, 2]], res[[1, 0, 2]]
+
+    monkeypatch.setattr(bethe, "_newton", swap_first_two)
+    n = 2
+    with pytest.raises(IncompleteSpectrumError, match="matched 1 of 3") as info:
+        bethe_roots(n, A2)
+    assert (info.value.found, info.value.expected) == (n - 1, n + 1)
+    assert info.value.best_residual is None  # every row converged
 
 
 def test_a_trial_step_onto_a_pole_is_never_taken(monkeypatch):
@@ -426,8 +443,8 @@ def _seed_stacks(draw):
 
 @given(stack=_seed_stacks())
 def test_newton_never_ends_a_row_above_its_start_residual(stack):
-    """Seeds this far from the poles get no nudge, and no accepted step raises a
-    row's residual, so every row ends at or below its seed's residual, and a row
+    """Seeds this far from the poles start at a finite residual, and no accepted step
+    raises a row's residual, so every row ends at or below its seed's residual, and a row
     reported converged is below the Newton target. This bound is why a trial near
     a pole needs no rule of its own besides the decrease test."""
     n, params, z0 = stack
