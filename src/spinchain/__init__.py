@@ -12,25 +12,21 @@ Submodules:
 """
 
 from .errors import (
-    ComplexBranchError,
     ConstraintViolationError,
     ConvergenceError,
     DivergenceError,
     DomainError,
     IncompleteSpectrumError,
-    RootCollisionError,
 )
 from .params import PhysicalParams, make_params
 
 __all__ = [
-    "ComplexBranchError",
     "ConstraintViolationError",
     "ConvergenceError",
     "DivergenceError",
     "DomainError",
     "IncompleteSpectrumError",
     "PhysicalParams",
-    "RootCollisionError",
     "make_params",
 ]
 

@@ -1,21 +1,18 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: DomainError and
-ConstraintViolationError -> 2, ConvergenceError (including its subclasses
-RootCollisionError and IncompleteSpectrumError) and DivergenceError -> 3.
+ConstraintViolationError -> 2, ConvergenceError (including its subclass
+IncompleteSpectrumError) and DivergenceError -> 3.
 It also maps MemoryError (a count too large to allocate) and OSError (a
 file that cannot be read or written) to 2. Of the solver errors only
 IncompleteSpectrumError carries data: `found` (the eigenpairs whose own seed
-converged to that eigenvalue), `expected`, `best_residual`.
+converged, with distinct roots, to that eigenvalue), `expected`,
+`best_residual`.
 """
 
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of the operation."""
-
-
-class ComplexBranchError(DomainError):
-    """A square-root branch would leave the real axis (lambda^2 < 4)."""
 
 
 class ConstraintViolationError(ValueError):
@@ -26,17 +23,14 @@ class ConvergenceError(RuntimeError):
     """An iterative solver failed to converge."""
 
 
-class RootCollisionError(ConvergenceError):
-    """A root solver produced coincident roots where distinct ones are required."""
-
-
 class IncompleteSpectrumError(ConvergenceError):
     """A level solve certified fewer branches than the level has.
 
-    `found` counts the recurrence eigenpairs whose own seed converged to
-    that eigenvalue, and `expected` is n + 1; `best_residual` is the
-    smallest Bethe residual among the Newton polishes that did not converge
-    (None when every polish converged but some reached another eigenvalue).
+    `found` counts the recurrence eigenpairs whose own seed converged, with
+    distinct roots, to that eigenvalue, and `expected` is n + 1;
+    `best_residual` is the smallest Bethe residual among the Newton polishes
+    that did not converge (None when every polish converged but some
+    collided or reached another eigenvalue).
     """
 
     def __init__(

@@ -66,10 +66,13 @@ class MathieuSolutionRecord:
     """Characteristic value with the trigonometric series realizing it.
 
     The eigenfunction is sum_j c_j cos(f_j x) for cosine parity and
-    sum_j c_j sin(f_j x) for sine parity, with unit-norm coefficients and a
-    positive entry at the principal frequency, so at q = 0 the function is
-    exactly cos(nu x) or sin(nu x). For fractional orders both parities
-    share one characteristic value and one coefficient vector.
+    sum_j c_j sin(f_j x) for sine parity, with a positive entry at the
+    principal frequency, so at q = 0 the function is exactly cos(nu x) or
+    sin(nu x). The coefficients have unit l2 norm in the basis solved: the
+    parity-folded one for an order equal to an integer, the full lattice
+    nu + 2k otherwise, so orders 0 and 1e-13 differ in scale (at q = 1,
+    ce(0) is 0.5203 and 0.5442). For fractional orders both parities share
+    one characteristic value and one coefficient vector.
     """
 
     problem: MathieuProblem

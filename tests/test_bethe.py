@@ -27,13 +27,7 @@ from spinchain.bethe import (
     xi_from_roots,
 )
 from spinchain.cli import main
-from spinchain.errors import (
-    ComplexBranchError,
-    ConvergenceError,
-    DomainError,
-    IncompleteSpectrumError,
-    RootCollisionError,
-)
+from spinchain.errors import ConvergenceError, DomainError, IncompleteSpectrumError
 from spinchain.params import make_params
 
 A2 = make_params(A=2.0)  # a = 1
@@ -102,9 +96,9 @@ def test_l_branch_values():
 
 
 def test_l_branch_complex_rejected():
-    with pytest.raises(ComplexBranchError):
+    with pytest.raises(DomainError, match="l is complex"):
         l_branches(0.0)
-    with pytest.raises(ComplexBranchError):
+    with pytest.raises(DomainError, match="l is complex"):
         l_branches(1.9)
 
 
@@ -317,17 +311,40 @@ def test_failed_branch_raises_incomplete_spectrum(monkeypatch, capsys):
     assert "matched 3 of 4" in out.err
 
 
-def test_converged_collision_raises_root_collision(monkeypatch, capsys):
-    def collide(z0, n, a, lam):
-        return np.full(z0.shape, 0.3 + 0j), np.ones(len(z0), bool), np.zeros(len(z0))
+def _collapse_rows(rows):
+    """A patched _newton whose given rows converge with every root on their mean.
 
-    monkeypatch.setattr(bethe, "_newton", collide)
-    with pytest.raises(RootCollisionError, match="converged roots collide"):
+    The mean keeps the root sum, so such a row still has its own xi; only the
+    distinctness test can refuse it.
+    """
+    real_newton = bethe._newton
+
+    def collapse(z0, n, a, lam):
+        z, ok, res = real_newton(z0, n, a, lam)
+        z[rows] = z[rows].mean(axis=-1, keepdims=True)
+        return z, ok, res
+
+    return collapse
+
+
+def test_converged_collision_is_a_missing_branch(monkeypatch, capsys):
+    monkeypatch.setattr(bethe, "_newton", _collapse_rows(slice(None)))
+    with pytest.raises(IncompleteSpectrumError) as info:
         solve_level(2, A2)
+    assert (info.value.found, info.value.expected) == (0, 3)
+    assert info.value.best_residual is None  # every row converged
     assert main(["roots", "--n", "2", "--A", "2"]) == 3
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("spinchain: solver error: converged roots collide")
+    assert out.err.startswith("spinchain: solver error: Newton polish matched 0 of 3 ")
+
+
+def test_only_the_colliding_row_goes_missing(monkeypatch):
+    monkeypatch.setattr(bethe, "_newton", _collapse_rows(0))
+    with pytest.raises(IncompleteSpectrumError) as info:
+        solve_level(3, A2)
+    assert (info.value.found, info.value.expected) == (3, 4)
+    assert info.value.best_residual is None
 
 
 def _oracle_seeds(n, params):

@@ -296,10 +296,16 @@ def test_residual_at_huge_q_holds_one_basis_matrix():
     assert peak < 1.2 * basis_bytes
 
 
-def test_coefficients_are_normalized_with_positive_principal():
-    rec = solve(3.0, 2.5, "ce")
+@pytest.mark.parametrize(
+    "nu, q",
+    [pytest.param(3.0, 2.5, id="integer"), pytest.param(1e-13, 1.0, id="fractional")],
+)
+def test_coefficients_are_normalized_with_positive_principal(nu, q):
+    # unit norm in the basis solved: parity-folded for an integer order, the full
+    # lattice nu + 2k otherwise
+    rec = solve(nu, q, "ce")
     assert np.linalg.norm(rec.fourier_coeffs) == pytest.approx(1.0, abs=1e-12)
-    principal = int(np.argmin(np.abs(rec.frequencies - 3.0)))
+    principal = int(np.argmin(np.abs(rec.frequencies - nu)))
     assert rec.fourier_coeffs[principal] > 0
 
 
