@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import operator
@@ -374,32 +375,34 @@ def _spin_columns(w: np.ndarray, at_infinity: np.ndarray) -> dict[str, Any]:
 
 
 def _project_batch(path: str) -> dict[str, Any]:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:  # whole: the reader decodes in chunks, and its error gives offsets within a chunk
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # lines end at \n, \r or \r\n, as the reader counts them
+        head = data[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise DomainError(f"{path}: line {line}: not UTF-8 text: {exc}") from None
+    reader = _csv_reader(data)
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            index = {name.strip(): j for j, name in enumerate(header)}
-            rows, lines = [], []
-            for row in reader:
-                if row:  # a blank line holds no row
-                    rows.append(row)
-                    lines.append(reader.line_num)
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
+        header = next(reader, [])
+        rows = list(filter(None, reader))  # a blank line holds no row
     except csv.Error as exc:  # a cell past the field size limit; a NUL byte before 3.11
         raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
+    index = {name.strip(): j for j, name in enumerate(header)}
     if {"S1", "S2", "S3"} <= index.keys():
-        return _plane_columns(_parse_cells(path, rows, lines, index, ("S1", "S2", "S3")))
+        return _plane_columns(_parse_cells(path, data, rows, None, index, ("S1", "S2", "S3")))
     if {"P", "Q"} <= index.keys():
         j = index.get("at_infinity")
-        at_infinity = np.array(
-            [j is not None and j < len(row) and row[j].strip().lower() == "true" for row in rows],
+        at_infinity = np.fromiter(
+            (j is not None and j < len(row) and row[j].strip().lower() == "true" for row in rows),
             dtype=bool,
+            count=len(rows),
         )
-        finite = np.flatnonzero(~at_infinity).tolist()
+        finite = (~at_infinity).tolist()
         w = np.zeros((len(rows), 2))
-        w[finite] = _parse_cells(
-            path, [rows[i] for i in finite], [lines[i] for i in finite], index, ("P", "Q")
+        w[~at_infinity] = _parse_cells(
+            path, data, list(itertools.compress(rows, finite)), finite, index, ("P", "Q")
         )
         return _spin_columns(w, at_infinity)
     raise DomainError(f"{path}: need columns (S1,S2,S3) or (P,Q), got {header}")
@@ -407,25 +410,46 @@ def _project_batch(path: str) -> dict[str, Any]:
 
 def _parse_cells(
     path: str,
+    data: bytes,
     rows: list[list[str]],
-    lines: list[int],
+    selected: list[bool] | None,
     index: dict[str, int],
     names: tuple[str, ...],
 ) -> np.ndarray:
-    """(rows, names) floats; a missing or non-numeric cell is a DomainError naming its line."""
+    """(rows, names) floats; a missing or non-numeric cell is a DomainError naming its line.
+
+    `rows` are the data rows of the file `data` that `selected` keeps (None:
+    all). numpy reads every cell with `float()`; the line of a bad row is found
+    by reading `data` again.
+    """
     cells = operator.itemgetter(*(index[name] for name in names))
     try:
-        values = list(map(float, itertools.chain.from_iterable(map(cells, rows))))
+        values = np.array(list(itertools.chain.from_iterable(map(cells, rows))), dtype=float)
     except (IndexError, ValueError):
-        for row, line in zip(rows, lines):
+        for k, row in enumerate(rows):
             try:
                 list(map(float, cells(row)))
             except (IndexError, ValueError):
                 raise DomainError(
-                    f"{path}: line {line}: need numbers in {', '.join(names)}, got {row}"
+                    f"{path}: line {_line_of(data, k, selected)}: "
+                    f"need numbers in {', '.join(names)}, got {row}"
                 ) from None
         raise
-    return np.array(values).reshape(-1, len(names))
+    return values.reshape(-1, len(names))
+
+
+def _csv_reader(data: bytes) -> Any:
+    """A csv reader over UTF-8 `data`: a byte order mark dropped, lines split as a text file's."""
+    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+
+
+def _line_of(data: bytes, k: int, selected: list[bool] | None) -> int:
+    """The line of `data` on which data row k, counted among the `selected` rows, ends."""
+    reader = _csv_reader(data)
+    next(reader)  # the header
+    rows = filter(None, reader)
+    next(itertools.islice(rows if selected is None else itertools.compress(rows, selected), k, None))
+    return reader.line_num
 
 
 def _cmd_classical(args: argparse.Namespace, params: PhysicalParams) -> dict[str, Any]:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spinchain import _g15, bethe, classical, cli, verify
 from spinchain.cli import main
+from spinchain.errors import DomainError
 from spinchain.params import PhysicalParams
 
 
@@ -220,6 +222,9 @@ def test_project_requires_an_input(capsys):
     [
         ("0,0,1\nabc,0,1\n", 3),
         ("0,0,1\n\n1,0,0\n0,0\n", 5),
+        # a quoted cell holding a line break ends its row on line 3
+        ('"0\n",0,1\nabc,1,1\n', 4),
+        ("0,0,1\r\n\r\n1,0,0\r\n\r\n0,x,1\r\n", 6),
     ],
 )
 def test_project_batch_malformed_spin_cell_is_domain_error(tmp_path, capsys, body, line):
@@ -233,11 +238,12 @@ def test_project_batch_malformed_spin_cell_is_domain_error(tmp_path, capsys, bod
 
 def test_project_batch_empty_plane_cell_is_domain_error(tmp_path, capsys):
     src = tmp_path / "plane.csv"
-    src.write_text("P,Q,at_infinity\n,,true\n1,2,false\n,3,false\n")
+    src.write_text("P,Q,at_infinity\n,,true\n1,2,false\n\n,, TRUE\n3,4\n,3,false\n,,true\n")
     code, out, err = run_cli(capsys, "project", "--batch", str(src))
     assert code == 2
     assert out == ""
-    assert "line 4:" in err
+    assert err == (f"spinchain: domain error: {src}: line 7: need numbers in P, Q, "
+                   "got ['', '3', 'false']\n")
 
 
 def test_project_batch_overlong_cell_is_domain_error(tmp_path, capsys):
@@ -255,6 +261,134 @@ def test_project_batch_non_finite_row_is_domain_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "project", "--batch", str(src))
     assert (code, out) == (2, "")
     assert "row 1:" in err
+
+
+@pytest.mark.parametrize(
+    "data, line, position",
+    [
+        # past the first 8192-byte chunk a file decoder reads
+        (b"S1,S2,S3\n" + b"0,0,1\n" * 20000 + b"\xe9\n", 20002, 120009),
+        # the position counts the byte order mark, as it is part of the file
+        (b"\xef\xbb\xbfS1,S2,S3\n0,0,1\n\xe9,0,1\n", 3, 18),
+        # lines end at \r\n, \r or \n, as for every other error
+        (b"S1,S2,S3\r\n0,0,1\r\n\r\n\xe9,0,1\r\n", 4, 19),
+        (b"P,Q\r1,2\r\xe9", 3, 8),
+    ],
+    ids=["late", "bom", "crlf", "cr"],
+)
+def test_project_batch_non_utf8_byte_names_its_line_and_file_offset(
+    tmp_path, capsys, data, line, position
+):
+    src = tmp_path / "spins.csv"
+    src.write_bytes(data)
+    reason = "unexpected end of data" if position == len(data) - 1 else "invalid continuation byte"
+    assert run_cli(capsys, "project", "--batch", str(src)) == (
+        2, "", f"spinchain: domain error: {src}: line {line}: not UTF-8 text: 'utf-8' codec "
+               f"can't decode byte 0xe9 in position {position}: {reason}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "cell", ["1_0", "١٢", " 1.5 ", "-Infinity", "1e400", "-nan", "0x1p3", "", "1\x00", "1__0"]
+)
+def test_numpy_reads_a_cell_as_float_does(cell):
+    """The batch reader converts all its cells in one numpy call: that call must accept,
+    refuse and read a string exactly as Python's float() does."""
+    try:
+        expected = np.array([float(cell)])
+    except ValueError:
+        with pytest.raises(ValueError):
+            np.array([cell], dtype=float)
+    else:
+        got = np.array([cell], dtype=float)
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def _row_by_row_project_batch(path):
+    """`project --batch` read one row at a time: the line of each row from the csv reader's
+    `line_num` as it goes, one float() per cell. Takes UTF-8 input only."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            index = {name.strip(): j for j, name in enumerate(header)}
+            rows, lines = [], []
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
+
+    def numbers(rows, lines, names):
+        values = []
+        for row, line in zip(rows, lines):
+            try:
+                values.append([float(row[index[name]]) for name in names])
+            except (IndexError, ValueError):
+                raise DomainError(
+                    f"{path}: line {line}: need numbers in {', '.join(names)}, got {row}"
+                ) from None
+        return np.array(values, dtype=float).reshape(-1, len(names))
+
+    if {"S1", "S2", "S3"} <= index.keys():
+        return cli._plane_columns(numbers(rows, lines, ("S1", "S2", "S3")))
+    if {"P", "Q"} <= index.keys():
+        j = index.get("at_infinity")
+        at_infinity = np.array(
+            [j is not None and j < len(row) and row[j].strip().lower() == "true" for row in rows],
+            dtype=bool,
+        )
+        finite = [(row, line) for row, line, inf in zip(rows, lines, at_infinity) if not inf]
+        w = np.zeros((len(rows), 2))
+        w[~at_infinity] = numbers([r for r, _ in finite], [n for _, n in finite], ("P", "Q"))
+        return cli._spin_columns(w, at_infinity)
+    raise DomainError(f"{path}: need columns (S1,S2,S3) or (P,Q), got {header}")
+
+
+_BATCH_HEADERS = st.sampled_from(["S1,S2,S3", "P,Q,at_infinity"])
+# digits, an Arabic-Indic digit, and what float() or the csv module reads specially
+_BATCH_SOUP = st.tuples(
+    _BATCH_HEADERS,
+    st.lists(st.sampled_from([*"0123456789", "١", ".", "-", "e", "_", " ", ",", '"', "\r", "\n",
+                              "nan", "inf", "true"]), max_size=80).map("".join),
+).map("\n".join)
+# whole rows, most of them well formed, under one line end
+_BATCH_ROWS = st.tuples(
+    _BATCH_HEADERS,
+    st.lists(st.one_of(
+        st.sampled_from(["", "0,0,1", "1,0,0", "0,-1,0", '"0","0","1"', "0,0,-1", ",,true",
+                         "1,2,false", " 3 ,١,TRUE", "1_0,-1e400,nan"]),
+        st.lists(st.sampled_from(["0", "-1", "0.5", "1_0", "1__0", "_1", "١", " 2 ", "", "nan",
+                                  "inf", "x", "true", '"1"', '"1\n"', '"1,2"']),
+                 min_size=1, max_size=4)
+        .map(",".join),
+    ), max_size=8),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+).map(lambda parts: parts[2].join([parts[0], *parts[1], ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(_BATCH_SOUP, _BATCH_ROWS))
+@example(text='S1,S2,S3\n"0\n",0,1\nabc,1,1\n')
+@example(text="P,Q,at_infinity\r\n,,true\r\n\r\n1_0,١٢,false\r\n,,TRUE\r\n3,x,false\r\n")
+@example(text="P,Q,at_infinity\n1,2\n3\n")
+@example(text="P,Q\n1_0,١٢\n 1.5 ,-0\n")
+@example(text="P,Q\n1,2\n1__0,1\n")
+def test_project_batch_matches_a_row_by_row_reader(tmp_path_factory, text):
+    """Exit code, stdout and stderr are those of the row-at-a-time reader, errors included."""
+    path = tmp_path_factory.mktemp("batch") / "batch.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def run():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["project", "--batch", str(path)])
+        return code, stdout.getvalue(), stderr.getvalue()
+
+    got = run()
+    with mock.patch.object(cli, "_project_batch", _row_by_row_project_batch):
+        assert got == run()
 
 
 # --- the column renderer ---------------------------------------------------------
