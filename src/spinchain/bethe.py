@@ -29,9 +29,9 @@ Two routes are implemented: a linear-algebra route that expands S in
 monomials and solves the resulting three-term recurrence as a matrix
 eigenproblem in xi, and a damped Newton iteration on the Bethe system. Each
 level n carries n + 1 solution branches (for n = 1 these are the two
-closed-form root branches), one per recurrence eigenvalue; roots may leave
-the real axis in conjugate pairs and are kept. The solver seeds one Newton
-polish per eigenpair, and each eigenpair's seed must polish to that
+closed-form root branches), one per recurrence eigenvalue, each returned with
+its roots exactly closed under conjugation, as S has real coefficients. The
+solver seeds one Newton polish per eigenpair, and each must polish to that
 eigenvalue, so a level is returned complete or not at all.
 """
 
@@ -60,9 +60,6 @@ _NEWTON_TARGET = 1e-12
 #: a branch matches the eigenvalue that seeded it when their xi agree to this
 #: tolerance relative to max(1, |xi|)
 _XI_MATCH_TOL = 1e-8
-
-#: real parts of roots this close, relative to max(1, |re|), sort as tied
-_ORDER_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -260,12 +257,14 @@ def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
     (one empty root set at n = 0). Each of the n + 1 eigenpairs of the
     recurrence route seeds one Newton polish from the roots of its
     polynomial, all seeds polished together as one array, and each
-    eigenpair's seed must polish to that eigenvalue in xi, with roots
-    pairwise more than DISTINCTNESS_TOL apart; otherwise
-    IncompleteSpectrumError is raised, so the result is always all n + 1
-    branches. Every returned set satisfies the Bethe system with residual
-    below RESIDUAL_TOL (1e-10): Newton stops below 1e-12, and the canonical
-    order returned can add rounding to that. Only mu*B = 0 reduces to it.
+    eigenpair's seed must polish to that eigenvalue in xi, with roots that
+    pair off as conjugates and lie pairwise more than DISTINCTNESS_TOL
+    apart; otherwise IncompleteSpectrumError is raised, so the result is
+    always all n + 1 branches. Each set is exactly closed under conjugation
+    and in np.sort order (real part, then imaginary part), so a pair lists
+    its negative-imaginary member first. Its Bethe residual is below
+    RESIDUAL_TOL (1e-10): Newton stops below 1e-12, and the pairing can add
+    rounding to that. Only mu*B = 0 reduces to it.
     """
     # past numpy's index range not even the (n + 1, n, n) complex seed stack can be made
     if 16 * (n + 1) * n * n > np.iinfo(np.intp).max:
@@ -281,13 +280,14 @@ def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
     seeded = np.isfinite(coeffs).all(axis=-1)
     xi_ref, coeffs = xi_ref[seeded], coeffs[seeded]
     z, ok, res = _newton(_companion_roots(coeffs), n, a, lam)
-    # row k is branch k: it counts when it converged, its roots are distinct (the ansatz
-    # needs them so) and its xi is the eigenvalue that seeded it. Separations are taken
-    # on converged rows only, where no root is inf. Converged means a Newton norm below
-    # _NEWTON_TARGET; the residual of the reordered roots can exceed it by rounding
-    distinct = np.zeros_like(ok)
+    # row k is branch k: it counts when it converged, its roots pair off as conjugates and
+    # are distinct (the ansatz needs them so), and its xi is the eigenvalue that seeded it.
+    # Pairing and separations use converged rows only, where no root is inf. Converged means
+    # a Newton norm below _NEWTON_TARGET; the paired roots' residual can exceed it by rounding
+    paired, distinct = np.zeros_like(ok), np.zeros_like(ok)
+    z[ok], paired[ok] = _conjugate_closure(z[ok])
     distinct[ok] = _min_separation(z[ok]) > DISTINCTNESS_TOL
-    found = int(np.sum(ok & distinct & _same_xi(_branch_xi(z, a, lam), xi_ref)))
+    found = int(np.sum(ok & paired & distinct & _same_xi(_branch_xi(z, a, lam), xi_ref)))
     if found < n + 1:
         best_residual = float(min([math.inf, *res[~ok]]))  # a NaN never wins, as in a running min
         raise IncompleteSpectrumError(
@@ -297,14 +297,13 @@ def bethe_roots(n: int, params: PhysicalParams) -> list[tuple[complex, ...]]:
             expected=n + 1,
             best_residual=best_residual if best_residual < math.inf else None,
         )
-    return [tuple(complex(v) for v in zk) for zk in _canonical_order(z)]
+    return [tuple(complex(v) for v in zk) for zk in np.sort(z, axis=-1)]
 
 
 def solve_level(n: int, params: PhysicalParams) -> list[BetheSolution]:
     """Solve every branch of level n and package the spectral data.
 
-    Each `residual` is the Bethe residual of the returned, canonically
-    ordered roots; it stays below RESIDUAL_TOL (1e-10).
+    Each `residual` is the Bethe residual of the returned roots, below RESIDUAL_TOL (1e-10).
     """
     root_sets = bethe_roots(n, params)
     lam = lambda_n(n)
@@ -493,18 +492,16 @@ def _min_separation(z: np.ndarray) -> np.ndarray:
     return diff.min(axis=(-2, -1), initial=math.inf)
 
 
-def _canonical_order(z: np.ndarray) -> np.ndarray:
-    """Sort each row by real part, then by imaginary part among tied real parts.
-
-    A real part tied to its sorted neighbour joins that neighbour's group,
-    so a conjugate pair whose real parts differ by rounding always lists
-    its negative-imaginary member first.
-    """
-    z = np.take_along_axis(z, np.argsort(z.real, axis=-1, kind="stable"), axis=-1)
-    tied = np.diff(z.real, axis=-1) <= _ORDER_TIE_TOL * np.maximum(1.0, np.abs(z.real[..., 1:]))
-    group = np.zeros(z.shape, dtype=int)
-    group[..., 1:] = np.cumsum(~tied, axis=-1)
-    return np.take_along_axis(z, np.lexsort((z.imag, group), axis=-1), axis=-1)
+def _conjugate_closure(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row with every root z averaged as (z + conj(partner))/2, and whether its pairing
+    is an involution. A root's partner is the root nearest its conjugate (a real root is its
+    own), so the average makes a real root exactly real and a pair exactly conjugate."""
+    n = z.shape[-1]
+    d = np.abs(z[..., :, None] - z[..., None, :].conj())
+    # one row of d per root: at n = 0 no rows of width 1, not an empty axis argmin refuses
+    partner = np.argmin(d.reshape(-1, max(n, 1)), axis=-1).reshape(z.shape)
+    paired = np.all(np.take_along_axis(partner, partner, axis=-1) == np.arange(n), axis=-1)
+    return (z + np.take_along_axis(z, partner, axis=-1).conj()) / 2, paired
 
 
 def _branch_xi(z: np.ndarray, a: float, lam: float) -> complex | np.ndarray:

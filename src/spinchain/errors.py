@@ -6,8 +6,8 @@ IncompleteSpectrumError) and DivergenceError -> 3.
 It also maps MemoryError (a count too large to allocate) and OSError (a
 file that cannot be read or written) to 2. Of the solver errors only
 IncompleteSpectrumError carries data: `found` (the eigenpairs whose own seed
-converged, with distinct roots, to that eigenvalue), `expected`,
-`best_residual`.
+converged, with distinct roots in conjugate pairs, to that eigenvalue),
+`expected`, `best_residual`.
 """
 
 
@@ -26,11 +26,12 @@ class ConvergenceError(RuntimeError):
 class IncompleteSpectrumError(ConvergenceError):
     """A level solve certified fewer branches than the level has.
 
-    `found` counts the recurrence eigenpairs whose own seed converged, with
-    distinct roots, to that eigenvalue, and `expected` is n + 1;
+    `found` counts the recurrence eigenpairs whose own seed converged to that
+    eigenvalue, with distinct roots whose nearest-conjugate pairing is an
+    involution, and `expected` is n + 1;
     `best_residual` is the smallest Bethe residual among the Newton polishes
     that did not converge (None when every polish converged but some
-    collided or reached another eigenvalue).
+    collided, did not pair off or reached another eigenvalue).
     """
 
     def __init__(

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from spinchain import bethe, verify
@@ -283,12 +283,42 @@ def test_vectorised_system_matches_loop_reference(n):
         assert np.max(np.abs(jk - jac_ref)) < tol
 
 
-def test_conjugate_pair_order_ignores_rounding_of_real_parts():
-    # n = 2, A = 0.5: the two real parts of a conjugate pair differ by ulps
-    re = 0.22250395145717256
-    for other in (np.nextafter(re, 1.0), np.nextafter(re, 0.0)):
-        z = np.array([2.0, complex(re, 0.4), complex(other, -0.4), -1.0])
-        assert bethe._canonical_order(z).imag.tolist() == [0.0, -0.4, 0.4, 0.0]
+def test_a_pairing_that_is_not_an_involution_is_a_missing_branch(monkeypatch, capsys):
+    """Row 1 converges to three roots on one vertical line with imaginary parts
+    0.01, -0.025 and 0.015. Their sum, and so their xi, is the branch's, and they
+    are distinct, but the first root's nearest conjugate is the second root, whose
+    nearest conjugate is the third: no pairing closes the set under conjugation,
+    so the branch goes missing."""
+    n, real_newton = 3, bethe._newton
+    lopsided = np.array([0.01j, -0.025j, 0.015j])
+
+    def unpaired_row(z0, n, a, lam):
+        z, ok, res = real_newton(z0, n, a, lam)
+        z[1] = z[1].sum().real / n + lopsided
+        return z, ok, res
+
+    _, paired = bethe._conjugate_closure(lopsided[None])
+    assert paired.tolist() == [False]
+    assert bethe._min_separation(lopsided) > bethe.DISTINCTNESS_TOL
+    monkeypatch.setattr(bethe, "_newton", unpaired_row)
+    with pytest.raises(IncompleteSpectrumError) as info:
+        solve_level(n, A2)
+    assert (info.value.found, info.value.expected) == (n, n + 1)
+    assert info.value.best_residual is None  # every row converged
+    assert main(["roots", "--n", "3", "--A", "2"]) == 3
+    assert "matched 3 of 4" in capsys.readouterr().err
+
+
+@settings(deadline=None)
+@given(n=st.integers(0, 20), log_a=st.floats(math.log(0.1), math.log(8.0)))
+def test_returned_root_sets_are_exactly_closed_under_conjugation(n, log_a):
+    """S has real coefficients, so every root set equals its conjugate; the solver
+    returns it so exactly, in np.sort order, and within the residual bound."""
+    params = make_params(A=math.exp(log_a))
+    for sol in solve_level(n, params):
+        z = np.array(sol.roots, dtype=complex)
+        assert np.sort(z.conj()).tolist() == np.sort(z).tolist() == z.tolist()
+        assert sol.residual < RESIDUAL_TOL
 
 
 def test_failed_branch_raises_incomplete_spectrum(monkeypatch, capsys):

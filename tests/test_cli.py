@@ -71,6 +71,38 @@ def test_roots_command_lists_both_branches(capsys):
     assert all(float(r["bethe_residual"]) < 1e-10 for r in rows)
 
 
+def _printed_roots(out, fmt):
+    """Each row's roots as (re, im) text, im "0" for a root printed as real."""
+    if fmt == "json":
+        rows = json.loads(out, parse_float=str, parse_int=str)
+        return [[tuple(root) for root in row["roots"]] for row in rows]
+    cells = [row["roots"].split(";") if row["roots"] else [] for row in parse_csv(out)]
+    parts = re.compile(r"(-?[\d.]+(?:e[+-]\d+)?)(?:([+-])([\d.]+(?:e[+-]\d+)?)j)?")
+    split = [[parts.fullmatch(cell).groups() for cell in row] for row in cells]
+    return [[(r, "0" if im is None else sign.strip("+") + im) for r, sign, im in row] for row in split]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [["roots", "--n", "4"], ["spectrum", "--max-n", "8"]])
+def test_printed_root_sets_are_closed_under_conjugation(capsys, argv, fmt):
+    """A real root prints no imaginary part (JSON [re, 0]), and a conjugate pair prints
+    the same digits with opposite signs, its negative member first. Structure only: the
+    digits themselves depend on how the build rounds."""
+    code, out, _ = run_cli(capsys, *argv, "--A", "2", "--format", fmt)
+    assert code == 0
+    real = pairs = 0
+    for roots in _printed_roots(out, fmt):
+        k = 0
+        while k < len(roots):
+            re_, im = roots[k]
+            if im == "0":
+                real, k = real + 1, k + 1
+                continue
+            assert im.startswith("-") and roots[k + 1] == (re_, im[1:])
+            pairs, k = pairs + 1, k + 2
+    assert real and pairs
+
+
 # the first incomplete levels of a 400-point log-spaced scan of A in [0.1, 8]
 @pytest.mark.parametrize(
     "n, a",
